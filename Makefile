@@ -1,9 +1,9 @@
 # Development entry points; CI (.github/workflows/ci.yml) runs the same
-# build/vet/fmt/race sequence as `make check`.
+# build/vet/fmt/race/perfbench sequence as `make check`.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check smoke serve-smoke fleet-smoke recovery-smoke overload-smoke faults margins degrade fuzz bench bench-check bench-serve
+.PHONY: all build test race vet fmt perfbench check smoke serve-smoke fleet-smoke recovery-smoke overload-smoke faults margins degrade fuzz bench bench-check bench-serve
 
 all: check
 
@@ -23,7 +23,13 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
-check: build vet fmt race
+# The benchmark harness is a nested module that `go build ./...` at the
+# root skips; vet and test it on its own so an API break in the packages
+# it calls shows up here rather than in the next benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet fmt race perfbench
 
 # The paper-vs-measured reproduction record at full sample size.
 smoke:

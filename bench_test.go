@@ -133,7 +133,7 @@ func BenchmarkSchedulers(b *testing.B) {
 	b.Run("PlanEDF", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.EDF(w.Graph, w.Platform, asg); err != nil {
+			if _, err := sched.ListEDF(w.Graph, w.Platform, asg, sched.Reserve, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -262,7 +262,7 @@ func BenchmarkExtensionSchedulers(b *testing.B) {
 	b.Run("InsertEDF", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.InsertEDF(w.Graph, w.Platform, asg); err != nil {
+			if _, err := sched.ListEDF(w.Graph, w.Platform, asg, sched.Backfill, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

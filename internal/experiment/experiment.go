@@ -88,7 +88,7 @@ const (
 	// TimeDriven uses sched.Dispatch, the paper's non-preemptive
 	// time-driven run-time dispatcher (the default).
 	TimeDriven Scheduler = iota
-	// Planner uses sched.EDF, the offline greedy list scheduler with
+	// Planner uses sched.ListEDF, the offline greedy list scheduler with
 	// per-processor reservation.
 	Planner
 )

@@ -225,40 +225,54 @@ func DecodePlatform(in PlatformJSON) (*arch.Platform, error) {
 }
 
 // IneligibleTaskError reports a workload whose graph names a task that
-// cannot execute anywhere on the accompanying platform: every class the
-// task is eligible on has no processor present. Such a workload can
-// never be scheduled, so loading rejects it at the boundary instead of
-// letting the estimator fail deep inside the planning pipeline.
+// cannot execute where the accompanying platform would have to run it:
+// every class the task is eligible on has no processor present, or its
+// pin names a processor the platform lacks or whose class the task
+// cannot run on. Such a workload can never be scheduled, so loading
+// rejects it at the boundary instead of letting the estimator fail
+// deep inside the planning pipeline.
 type IneligibleTaskError struct {
 	// Task is the task index in the graph; Name its optional label.
 	Task int
 	Name string
+	// Pin is the offending processor pin, -1 when the task is unpinned.
+	Pin int
 }
 
 // Error implements error.
 func (e *IneligibleTaskError) Error() string {
+	label := fmt.Sprint(e.Task)
 	if e.Name != "" {
-		return fmt.Sprintf("graphio: task %d (%s) is eligible on no processor class present on the platform", e.Task, e.Name)
+		label = fmt.Sprintf("%d (%s)", e.Task, e.Name)
 	}
-	return fmt.Sprintf("graphio: task %d is eligible on no processor class present on the platform", e.Task)
+	if e.Pin != -1 {
+		return fmt.Sprintf("graphio: task %s is pinned to processor %d, where it cannot run", label, e.Pin)
+	}
+	return fmt.Sprintf("graphio: task %s is eligible on no processor class present on the platform", label)
 }
 
-// ValidateEligibility checks that every task of g can run on at least
-// one processor class that is actually present on p, returning an
-// *IneligibleTaskError for the first task that cannot. ReadWorkload
-// applies it automatically whenever the file carries a platform.
+// ValidateEligibility checks that every task of g can run on p: a pinned
+// task's processor exists and is of a class the task is eligible on,
+// and an unpinned task is eligible on at least one class present on p.
+// It returns an *IneligibleTaskError for the first task that cannot run.
+// ReadWorkload applies it automatically whenever the file carries a
+// platform.
 func ValidateEligibility(g *taskgraph.Graph, p *arch.Platform) error {
 	present := p.ClassesPresent()
 	for _, t := range g.Tasks() {
 		ok := false
-		for k := range present {
-			if present[k] && t.EligibleOn(k) {
-				ok = true
-				break
+		if pin := t.Pinned; pin != -1 {
+			ok = pin >= 0 && pin < p.M() && t.EligibleOn(p.ClassOf(pin))
+		} else {
+			for k := range present {
+				if present[k] && t.EligibleOn(k) {
+					ok = true
+					break
+				}
 			}
 		}
 		if !ok {
-			return &IneligibleTaskError{Task: t.ID, Name: t.Name}
+			return &IneligibleTaskError{Task: t.ID, Name: t.Name, Pin: t.Pinned}
 		}
 	}
 	return nil

@@ -201,6 +201,44 @@ func TestReadWorkloadRejectsIneligibleTask(t *testing.T) {
 	}
 }
 
+// A pin is checked against the platform it must run on: a processor the
+// platform lacks, a pin below -1, or a processor whose class the task
+// cannot run on is rejected at load with the typed error.
+func TestReadWorkloadRejectsBadPin(t *testing.T) {
+	// Three processors: 0 and 1 of class 0, 2 of class 1.
+	const platform = `"platform":{"kind":"unrelated","classes":[{"name":"a","speed":1},{"name":"b","speed":1}],"classOf":[0,0,1],"busDelayPerItem":1}`
+	for _, tc := range []struct {
+		name   string
+		task   string
+		reject bool
+	}{
+		{"unpinned", `{"wcet":[5,-1]}`, false},
+		{"pinned-eligible", `{"wcet":[5,-1],"pinned":1}`, false},
+		{"pinned-last", `{"wcet":[5,6],"pinned":2}`, false},
+		{"pinned-past-platform", `{"wcet":[5,6],"pinned":99}`, true},
+		{"pinned-at-m", `{"wcet":[5,6],"pinned":3}`, true},
+		{"pinned-below-minus-one", `{"wcet":[5,6],"pinned":-2}`, true},
+		{"pinned-ineligible-class", `{"wcet":[5,-1],"pinned":2}`, true},
+	} {
+		body := `{"graph":{"numClasses":2,"tasks":[{"wcet":[4,4]},` + tc.task + `],"arcs":[{"from":0,"to":1}]},` + platform + `}`
+		_, _, err := ReadWorkload(strings.NewReader(body))
+		if !tc.reject {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		var ie *IneligibleTaskError
+		if !errors.As(err, &ie) {
+			t.Errorf("%s: want IneligibleTaskError, got %v", tc.name, err)
+			continue
+		}
+		if ie.Task != 1 || !strings.Contains(ie.Error(), "pinned to processor") {
+			t.Errorf("%s: wrong rejection %+v: %v", tc.name, ie, ie)
+		}
+	}
+}
+
 func TestEncodeResult(t *testing.T) {
 	asg := &slicing.Assignment{
 		MetricName:  "ADAPT-L",

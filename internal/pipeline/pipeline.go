@@ -91,35 +91,34 @@ func Slice(g *taskgraph.Graph, est []rtime.Time, m int, metric slicing.Metric, p
 
 // Dispatcher is the named third-stage hook: a window assignment into a
 // concrete schedule. The zero value makes Build fall back to TimeDriven.
-// RunScratch, when non-nil, is preferred by pooled builds: it must
-// produce the same schedule as Run while drawing working memory from the
-// supplied scratch (never aliasing it into the schedule).
+// Run draws its working memory from ws (nil allocates internally) and
+// must return the same schedule for any scratch state, never aliasing
+// it into the schedule.
 type Dispatcher struct {
-	Name       string
-	Run        func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*sched.Schedule, error)
-	RunScratch func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error)
+	Name string
+	Run  func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error)
 }
 
 // TimeDriven is the paper's non-preemptive time-driven EDF dispatcher.
 func TimeDriven() Dispatcher {
-	return Dispatcher{
-		Name: "time-driven",
-		Run:  sched.Dispatch,
-		RunScratch: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
-			return sched.DispatchScratch(g, p, asg, sched.EDFPolicy, ws)
-		},
-	}
+	return Dispatcher{Name: "time-driven", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
+		return sched.DispatchScratch(g, p, asg, sched.EDFPolicy, ws)
+	}}
 }
 
 // Planner is the offline greedy EDF list scheduler with per-processor
 // reservation.
 func Planner() Dispatcher {
-	return Dispatcher{Name: "planner", Run: sched.EDF, RunScratch: sched.EDFScratch}
+	return Dispatcher{Name: "planner", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
+		return sched.ListEDF(g, p, asg, sched.Reserve, ws)
+	}}
 }
 
 // Insertion is the insertion-based (backfilling) offline EDF variant.
 func Insertion() Dispatcher {
-	return Dispatcher{Name: "insertion", Run: sched.InsertEDF, RunScratch: sched.InsertEDFScratch}
+	return Dispatcher{Name: "insertion", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
+		return sched.ListEDF(g, p, asg, sched.Backfill, ws)
+	}}
 }
 
 // Preemptive is the global preemptive EDF dispatcher with migration.
@@ -127,7 +126,7 @@ func Insertion() Dispatcher {
 // lateness, placements); callers needing the slice-level detail run
 // sched.DispatchPreemptive directly.
 func Preemptive() Dispatcher {
-	return Dispatcher{Name: "preemptive", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*sched.Schedule, error) {
+	return Dispatcher{Name: "preemptive", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Scratch) (*sched.Schedule, error) {
 		ps, err := sched.DispatchPreemptive(g, p, asg)
 		if err != nil {
 			return nil, err
@@ -139,15 +138,9 @@ func Preemptive() Dispatcher {
 // WithPolicy is the time-driven dispatcher under an alternative
 // ready-task policy (§7.3's policy axis).
 func WithPolicy(pol sched.Policy) Dispatcher {
-	return Dispatcher{
-		Name: "policy:" + pol.String(),
-		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*sched.Schedule, error) {
-			return sched.DispatchWith(g, p, asg, pol)
-		},
-		RunScratch: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
-			return sched.DispatchScratch(g, p, asg, pol, ws)
-		},
-	}
+	return Dispatcher{Name: "policy:" + pol.String(), Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
+		return sched.DispatchScratch(g, p, asg, pol, ws)
+	}}
 }
 
 // VerifyOutcome is the verifier stage's three-valued verdict. Verifiers
@@ -186,13 +179,12 @@ func (o VerifyOutcome) String() string {
 // Verifier is the named optional fourth-stage hook: an independent
 // schedulability verdict on the assignment. It runs after dispatch, so
 // replay-style verifiers get the concrete schedule; analytic verifiers
-// may ignore it. The zero value skips the stage. RunScratch, when
-// non-nil, is preferred by pooled builds and must return the same
-// verdict as Run over the supplied scratch.
+// may ignore it. The zero value skips the stage. Run draws its working
+// memory from sc (nil allocates internally) and must return the same
+// verdict for any scratch state.
 type Verifier struct {
-	Name       string
-	Run        func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule) (VerifyOutcome, error)
-	RunScratch func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error)
+	Name string
+	Run  func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error)
 }
 
 // FeasVerifier runs the fast necessary feasibility conditions; a
@@ -204,14 +196,7 @@ type Verifier struct {
 func FeasVerifier() Verifier {
 	return Verifier{
 		Name: "feas",
-		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Schedule) (VerifyOutcome, error) {
-			bad, err := feas.Infeasible(g, p, asg)
-			if err == nil && bad {
-				return VerifyRejected, nil
-			}
-			return VerifyInconclusive, nil
-		},
-		RunScratch: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error) {
+		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error) {
 			bad, err := feas.InfeasibleScratch(g, p, asg, sc)
 			if err == nil && bad {
 				return VerifyRejected, nil
@@ -600,12 +585,7 @@ func (b *Builder) buildCold(ctx context.Context, spec Spec, dist deadline.Distri
 	}
 	d := b.dispatcher()
 	probe = beginStage(countAllocs)
-	var s *sched.Schedule
-	if d.RunScratch != nil {
-		s, err = d.RunScratch(spec.Graph, spec.Platform, asg, sc.Sched)
-	} else {
-		s, err = d.Run(spec.Graph, spec.Platform, asg)
-	}
+	s, err := d.Run(spec.Graph, spec.Platform, asg, sc.Sched)
 	stats.Dispatch = probe.end()
 	if err != nil {
 		b.Recorder.recordError()
@@ -619,17 +599,12 @@ func (b *Builder) buildCold(ctx context.Context, spec Spec, dist deadline.Distri
 		MaxLateness:     s.MaxLateness,
 		MinLaxity:       asg.MinLaxity(est),
 	}
-	if b.Verifier.Run != nil || b.Verifier.RunScratch != nil {
+	if b.Verifier.Run != nil {
 		if err := b.stageGate(ctx); err != nil {
 			return nil, err
 		}
 		probe = beginStage(countAllocs)
-		var outcome VerifyOutcome
-		if b.Verifier.RunScratch != nil {
-			outcome, err = b.Verifier.RunScratch(spec.Graph, spec.Platform, asg, s, sc.Feas)
-		} else {
-			outcome, err = b.Verifier.Run(spec.Graph, spec.Platform, asg, s)
-		}
+		outcome, err := b.Verifier.Run(spec.Graph, spec.Platform, asg, s, sc.Feas)
 		stats.Verify = probe.end()
 		if err != nil {
 			b.Recorder.recordError()

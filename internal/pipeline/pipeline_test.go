@@ -50,7 +50,7 @@ func TestBuildMatchesHandRolled(t *testing.T) {
 			}
 			var s *sched.Schedule
 			if disp.Name == "planner" {
-				s, err = sched.EDF(w.Graph, w.Platform, asg)
+				s, err = sched.ListEDF(w.Graph, w.Platform, asg, sched.Reserve, nil)
 			} else {
 				s, err = sched.Dispatch(w.Graph, w.Platform, asg)
 			}

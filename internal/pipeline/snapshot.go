@@ -16,8 +16,9 @@
 //
 // DecodePlan re-derives the workload fingerprint and the estimate hash
 // from the decoded content and refuses a plan whose recorded Key does
-// not match: a corrupted or tampered entry can be skipped, never
-// served.
+// not match, or whose schedule does not hold up against its own
+// workload, windows and verdict: a corrupted or tampered entry can be
+// skipped, never served.
 package pipeline
 
 import (
@@ -28,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/graphio"
@@ -244,7 +246,8 @@ func EncodePlan(p *Plan) PlanJSON {
 // DecodePlan rebuilds a Plan, verifying that the recorded Key matches
 // the decoded content: the workload fingerprint and the estimate hash
 // are recomputed from scratch, so a corrupted entry fails loudly here
-// instead of serving a wrong plan under a right key.
+// instead of serving a wrong plan under a right key. The schedule is
+// then checked for meaning (see checkSchedule).
 func DecodePlan(in PlanJSON) (*Plan, error) {
 	key, err := DecodeKey(in.Key)
 	if err != nil {
@@ -296,7 +299,7 @@ func DecodePlan(in PlanJSON) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("pipeline: serialized plan carries unknown quality %q", in.Quality)
 	}
-	return &Plan{
+	plan := &Plan{
 		Key:       key,
 		Graph:     g,
 		Platform:  p,
@@ -329,7 +332,52 @@ func DecodePlan(in PlanJSON) (*Plan, error) {
 			Dispatch: StageStats{Wall: time.Duration(in.StageWallNS[2])},
 			Verify:   StageStats{Wall: time.Duration(in.StageWallNS[3])},
 		},
-	}, nil
+	}
+	if err := checkSchedule(plan); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// checkSchedule checks a decoded plan's schedule for meaning, not only
+// shape: every processor index and every task index (dispatch order,
+// missed set, slicing chains) is in range and every placed task
+// finishes after it starts; a non-preemptive schedule passes
+// sched.Verify against the graph, platform and windows; and the recorded
+// verdict is the one the placements and deadlines imply.
+func checkSchedule(plan *Plan) error {
+	s, n, m := plan.Schedule, plan.Graph.NumTasks(), plan.Platform.M()
+	for i, pl := range s.Placements {
+		if pl.Proc < -1 || pl.Proc >= m {
+			return fmt.Errorf("pipeline: serialized plan places task %d on processor %d of %d", i, pl.Proc, m)
+		}
+		if pl.Proc >= 0 && pl.Finish <= pl.Start {
+			return fmt.Errorf("pipeline: serialized plan finishes task %d at %d, not after its start %d", i, pl.Finish, pl.Start)
+		}
+	}
+	for _, ids := range append([][]int{s.Order, s.Missed}, plan.Assignment.Chains...) {
+		for _, i := range ids {
+			if i < 0 || i >= n {
+				return fmt.Errorf("pipeline: serialized plan names task %d of %d", i, n)
+			}
+		}
+	}
+	if plan.Key.Dispatcher != Preemptive().Name {
+		if err := sched.Verify(plan.Graph, plan.Platform, plan.Assignment, s); err != nil {
+			return fmt.Errorf("pipeline: serialized plan: %w", err)
+		}
+	}
+	want := sched.Schedule{Placements: s.Placements}
+	want.Account(plan.Assignment.AbsDeadline)
+	if want.Feasible != s.Feasible || !slices.Equal(want.Missed, s.Missed) ||
+		want.MaxLateness != s.MaxLateness || want.Makespan != s.Makespan ||
+		plan.Verdict.Feasible != s.Feasible || plan.Verdict.MaxLateness != s.MaxLateness {
+		return fmt.Errorf("pipeline: serialized plan's verdict (feasible %v, missed %v, lateness %d, makespan %d) "+
+			"is not its placements' (%v, %v, %d, %d)",
+			plan.Verdict.Feasible, s.Missed, plan.Verdict.MaxLateness, s.Makespan,
+			want.Feasible, want.Missed, want.MaxLateness, want.Makespan)
+	}
+	return nil
 }
 
 // snapshotHeaderLine is the first line of every snapshot file.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,6 +176,37 @@ func TestDecodePlanIntegrity(t *testing.T) {
 	pj.Schedule.Proc = pj.Schedule.Proc[:1]
 	if _, err := DecodePlan(pj); err == nil {
 		t.Fatal("ragged schedule decoded without error")
+	}
+}
+
+// TestDecodePlanRejectsMeaninglessSchedule checks that a well-shaped
+// payload whose schedule contradicts its own workload, windows or
+// verdict is refused even though its key still matches.
+func TestDecodePlanRejectsMeaninglessSchedule(t *testing.T) {
+	p := snapshotCorpus(t, 1)[0]
+	if !p.Schedule.Feasible {
+		t.Fatal("corpus plan 0 should be feasible")
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(pj *PlanJSON)
+	}{
+		{"proc-99", func(pj *PlanJSON) { pj.Schedule.Proc[0] = 99 }},
+		{"finish-before-start", func(pj *PlanJSON) { pj.Schedule.Finish[0] = pj.Schedule.Start[0] - 1 }},
+		{"order-out-of-range", func(pj *PlanJSON) { pj.Schedule.Order[0] = len(pj.Schedule.Proc) }},
+		{"chain-out-of-range", func(pj *PlanJSON) { pj.Assignment.Chains = [][]int{{-1}} }},
+		{"feasible-with-late-task", func(pj *PlanJSON) { pj.Assignment.AbsDeadline[0] = pj.Schedule.Finish[0] - 1 }},
+	} {
+		pj := EncodePlan(p)
+		pj.Schedule.Order = slices.Clone(pj.Schedule.Order)
+		pj.Assignment.AbsDeadline = slices.Clone(pj.Assignment.AbsDeadline)
+		if _, err := DecodePlan(pj); err != nil {
+			t.Fatalf("%s: untouched plan refused: %v", tc.name, err)
+		}
+		tc.mutate(&pj)
+		if _, err := DecodePlan(pj); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
 	}
 }
 

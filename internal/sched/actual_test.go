@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -32,17 +33,39 @@ func TestActualFullFractionMatchesDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Dispatch(w.Graph, w.Platform, asg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DispatchActual(w.Graph, w.Platform, asg, fullFrac(w.Graph.NumTasks()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Placements {
-		if a.Placements[i] != b.Placements[i] {
-			t.Fatalf("task %d: %+v vs %+v", i, a.Placements[i], b.Placements[i])
+
+	// Task 0 is pinned to a processor the platform does not have: it is
+	// unplaceable, but its successor must still run.
+	pinned := taskgraph.NewGraph(1)
+	pinned.MustAddTask("stuck", c1(10), 0).Pinned = 5
+	pinned.MustAddTask("next", c1(10), 0)
+	pinned.MustAddArc(0, 1, 0)
+	pinned.MustFreeze()
+
+	for _, in := range []struct {
+		name string
+		g    *taskgraph.Graph
+		p    *arch.Platform
+		asg  *slicing.Assignment
+	}{
+		{"generated", w.Graph, w.Platform, asg},
+		{"pinned-outside", pinned, arch.Homogeneous(2), manual([]rtime.Time{0, 0}, []rtime.Time{20, 40})},
+	} {
+		a, err := Dispatch(in.g, in.p, in.asg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := DispatchActual(in.g, in.p, in.asg, fullFrac(in.g.NumTasks()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Placements {
+			if a.Placements[i] != b.Placements[i] {
+				t.Fatalf("%s: task %d: %+v vs %+v", in.name, i, a.Placements[i], b.Placements[i])
+			}
+		}
+		if !reflect.DeepEqual(a.Missed, b.Missed) {
+			t.Fatalf("%s: missed %v vs %v", in.name, a.Missed, b.Missed)
 		}
 	}
 }

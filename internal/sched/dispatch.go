@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/rtime"
@@ -19,7 +19,7 @@ import (
 // A task is dispatchable on processor q at time t when its arrival time
 // has been reached, all its predecessors have finished, and their
 // messages have landed on q (finish + bus cost for remote predecessors).
-// Unlike EDF (the planning variant in this package), the dispatcher has
+// Unlike ListEDF (the planning variant in this package), the dispatcher has
 // no lookahead: an idle processor takes the best currently-ready task
 // even if a more urgent one arrives a moment later — the classic
 // non-preemptive anomaly, and a genuine source of deadline misses that
@@ -28,16 +28,45 @@ func Dispatch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*S
 	return DispatchScratch(g, p, asg, EDFPolicy, nil)
 }
 
-// DispatchWith is Dispatch under an alternative dispatch policy (§7.3's
-// policy axis): the same work-conserving time-driven dispatcher, with
-// the ready-task selection rule swapped.
-func DispatchWith(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, policy Policy) (*Schedule, error) {
-	return DispatchScratch(g, p, asg, policy, nil)
+// DispatchScratch is Dispatch under any ready-task policy (§7.3's
+// policy axis) running over reusable scratch memory (nil allocates
+// internally). The schedule is identical for any scratch state and
+// never aliases it.
+func DispatchScratch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, policy Policy, ws *Scratch) (*Schedule, error) {
+	return dispatch(g, p, asg, policy, nil, ws)
 }
 
-// DispatchScratch is DispatchWith running over reusable scratch memory
-// (nil allocates internally). The schedule is identical for any scratch
-// state and never aliases it.
+// DispatchActual simulates the time-driven EDF dispatcher when tasks
+// finish *earlier* than their worst-case bound: task i executes for
+// ceil(frac[i] · WCET) time units on whichever class it lands on
+// (minimum one unit). The paper's model treats cᵢ as an upper bound
+// (§3.2), so at run time tasks may complete early — and, notoriously,
+// earlier completions can *break* a non-preemptive schedule that was
+// feasible under full WCETs (the Graham scheduling anomaly: finishing
+// early changes which tasks are ready at each dispatch instant).
+// DispatchActual makes that effect measurable.
+//
+// Deadline misses are still judged against the assigned windows. The
+// returned schedule reflects actual execution, so it intentionally
+// fails Verify's WCET-exactness check.
+func DispatchActual(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, frac []float64) (*Schedule, error) {
+	if n := g.NumTasks(); len(frac) != n {
+		return nil, fmt.Errorf("sched: %d fractions for %d tasks", len(frac), n)
+	}
+	for i, f := range frac {
+		if f <= 0 || f > 1 {
+			return nil, fmt.Errorf("sched: frac[%d] = %v outside (0, 1]", i, f)
+		}
+	}
+	return dispatch(g, p, asg, EDFPolicy, frac, nil)
+}
+
+// dispatch is the one time-driven dispatcher behind every entry point
+// above. frac, when non-nil, scales each task's execution time as
+// DispatchActual describes: the dispatcher still chooses processors by
+// WCET (it cannot know the actual time in advance), but the task
+// commits its actual finish, which frees the processor and its
+// resources and is where its messages leave from.
 //
 // Readiness is tracked incrementally instead of rescanning predecessors:
 // landing[i·m+q] carries the latest message-landing time of task i on
@@ -45,27 +74,12 @@ func DispatchWith(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 // are placed), and predsLeft[i] counts unfinished predecessors — task i
 // is dispatchable on q once predsLeft hits zero and
 // max(landing[i·m+q], resource floor) has been reached.
-func DispatchScratch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, policy Policy, ws *Scratch) (*Schedule, error) {
-	n := g.NumTasks()
-	if len(asg.Arrival) != n || len(asg.AbsDeadline) != n {
-		return nil, fmt.Errorf("sched: assignment covers %d tasks, graph has %d", len(asg.Arrival), n)
+func dispatch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, policy Policy, frac []float64, ws *Scratch) (*Schedule, error) {
+	s, err := newSchedule(g, asg)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if !asg.Arrival[i].IsSet() || !asg.AbsDeadline[i].IsSet() {
-			return nil, fmt.Errorf("sched: task %d has an unassigned window", i)
-		}
-	}
-
-	s := &Schedule{
-		Placements:  make([]Placement, n),
-		Feasible:    true,
-		MaxLateness: -rtime.Infinity,
-	}
-	for i := range s.Placements {
-		s.Placements[i] = Placement{Proc: -1}
-	}
-
-	m := p.M()
+	n, m := g.NumTasks(), p.M()
 	if ws == nil {
 		ws = &Scratch{}
 	}
@@ -102,8 +116,6 @@ func DispatchScratch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignme
 			}
 		}
 		if minC[i] == rtime.Infinity {
-			s.Feasible = false
-			s.Missed = append(s.Missed, i)
 			done[i] = true // treat as absent; successors become stuck too
 			placed++
 			// An unplaceable predecessor never finishes and never sends:
@@ -187,10 +199,14 @@ func DispatchScratch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignme
 			if bestTask < 0 {
 				break
 			}
-			s.Placements[bestTask] = Placement{Proc: bestProc, Start: now, Finish: bestFinish}
-			procFree[bestProc] = bestFinish
+			finish := bestFinish
+			if frac != nil {
+				finish = now + actualTime(frac[bestTask], g.Task(bestTask).WCET[p.ClassOf(bestProc)])
+			}
+			s.Placements[bestTask] = Placement{Proc: bestProc, Start: now, Finish: finish}
+			procFree[bestProc] = finish
 			for _, res := range g.Task(bestTask).Resources {
-				resFree[res] = bestFinish
+				resFree[res] = finish
 			}
 			done[bestTask] = true
 			placed++
@@ -205,21 +221,10 @@ func DispatchScratch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignme
 				items := g.MessageItems(bestTask, u)
 				ub := u * m
 				for q := 0; q < m; q++ {
-					if arrive := bestFinish + p.CommCost(bestProc, q, items); arrive > landing[ub+q] {
+					if arrive := finish + p.CommCost(bestProc, q, items); arrive > landing[ub+q] {
 						landing[ub+q] = arrive
 					}
 				}
-			}
-			if bestFinish > s.Makespan {
-				s.Makespan = bestFinish
-			}
-			late := bestFinish - asg.AbsDeadline[bestTask]
-			if late > s.MaxLateness {
-				s.MaxLateness = late
-			}
-			if late > 0 {
-				s.Feasible = false
-				s.Missed = append(s.Missed, bestTask)
 			}
 		}
 		if placed == n {
@@ -255,20 +260,15 @@ func DispatchScratch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignme
 			}
 		}
 		if next == rtime.Infinity {
-			// Remaining tasks can never start (stuck behind unplaceable
-			// predecessors).
-			for i := 0; i < n; i++ {
-				if !done[i] {
-					done[i] = true
-					placed++
-					s.Feasible = false
-					s.Missed = append(s.Missed, i)
-				}
-			}
-			break
+			break // the rest can never start (stuck behind unplaceable predecessors)
 		}
 		now = next
 	}
-	sort.Ints(s.Missed)
+	s.Account(asg.AbsDeadline)
 	return s, nil
+}
+
+// actualTime is ceil(f · c), at least one time unit.
+func actualTime(f float64, c rtime.Time) rtime.Time {
+	return rtime.Max(rtime.Time(math.Ceil(f*float64(c))), 1)
 }

@@ -24,7 +24,7 @@ func TestInsertBackfillsGap(t *testing.T) {
 	p := arch.Homogeneous(1)
 	asg := manual([]rtime.Time{50, 0}, []rtime.Time{70, 90})
 
-	plain, err := EDF(g, p, asg)
+	plain, err := ListEDF(g, p, asg, Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestInsertBackfillsGap(t *testing.T) {
 		t.Fatalf("plain EDF start = %d, expected the reservation artifact", plain.Placements[1].Start)
 	}
 
-	ins, err := InsertEDF(g, p, asg)
+	ins, err := ListEDF(g, p, asg, Backfill, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestInsertRespectsGapSize(t *testing.T) {
 	g.MustFreeze()
 	p := arch.Homogeneous(1)
 	asg := manual([]rtime.Time{8, 0}, []rtime.Time{18, 60})
-	s, err := InsertEDF(g, p, asg)
+	s, err := ListEDF(g, p, asg, Backfill, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestInsertFitsExactGap(t *testing.T) {
 	g.MustFreeze()
 	p := arch.Homogeneous(1)
 	asg := manual([]rtime.Time{10, 0}, []rtime.Time{20, 40})
-	s, err := InsertEDF(g, p, asg)
+	s, err := ListEDF(g, p, asg, Backfill, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestInsertVerifiesAndDominatesPlain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		plain, err := EDF(w.Graph, w.Platform, asg)
+		plain, err := ListEDF(w.Graph, w.Platform, asg, Reserve, nil)
 		if err != nil {
 			return false
 		}
-		ins, err := InsertEDF(w.Graph, w.Platform, asg)
+		ins, err := ListEDF(w.Graph, w.Platform, asg, Backfill, nil)
 		if err != nil {
 			return false
 		}
@@ -142,11 +142,11 @@ func TestInsertValidation(t *testing.T) {
 	g := taskgraph.NewGraph(1)
 	g.MustAddTask("", c1(5), 0)
 	g.MustFreeze()
-	if _, err := InsertEDF(g, arch.Homogeneous(1), manual(nil, nil)); err == nil {
+	if _, err := ListEDF(g, arch.Homogeneous(1), manual(nil, nil), Backfill, nil); err == nil {
 		t.Error("short assignment accepted")
 	}
 	bad := manual([]rtime.Time{rtime.Unset}, []rtime.Time{10})
-	if _, err := InsertEDF(g, arch.Homogeneous(1), bad); err == nil {
+	if _, err := ListEDF(g, arch.Homogeneous(1), bad, Backfill, nil); err == nil {
 		t.Error("unset arrival accepted")
 	}
 }

@@ -25,8 +25,8 @@ func TestPinnedTaskStaysPut(t *testing.T) {
 
 	for name, run := range map[string]func() (*Schedule, error){
 		"dispatch": func() (*Schedule, error) { return Dispatch(g, p, asg) },
-		"planner":  func() (*Schedule, error) { return EDF(g, p, asg) },
-		"insert":   func() (*Schedule, error) { return InsertEDF(g, p, asg) },
+		"planner":  func() (*Schedule, error) { return ListEDF(g, p, asg, Reserve, nil) },
+		"insert":   func() (*Schedule, error) { return ListEDF(g, p, asg, Backfill, nil) },
 	} {
 		s, err := run()
 		if err != nil {

@@ -43,7 +43,7 @@ func TestDispatchWithEDFMatchesDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DispatchWith(w.Graph, w.Platform, asg, EDFPolicy)
+	b, err := DispatchScratch(w.Graph, w.Platform, asg, EDFPolicy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestPolicyOrderingsDiffer(t *testing.T) {
 	p := arch.Homogeneous(1)
 	asg := manual([]rtime.Time{0, 0}, []rtime.Time{100, 90})
 
-	edf, err := DispatchWith(g, p, asg, EDFPolicy)
+	edf, err := DispatchScratch(g, p, asg, EDFPolicy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, err := DispatchWith(g, p, asg, FIFOPolicy)
+	fifo, err := DispatchScratch(g, p, asg, FIFOPolicy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +100,14 @@ func TestLLFPrefersLeastLaxity(t *testing.T) {
 	p := arch.Homogeneous(1)
 	asg := manual([]rtime.Time{0, 0}, []rtime.Time{80, 80})
 
-	llf, err := DispatchWith(g, p, asg, LLFPolicy)
+	llf, err := DispatchScratch(g, p, asg, LLFPolicy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if llf.Placements[1].Start != 0 {
 		t.Errorf("LLF should run the long (least-laxity) task first: %+v", llf.Placements)
 	}
-	edf, err := DispatchWith(g, p, asg, EDFPolicy)
+	edf, err := DispatchScratch(g, p, asg, EDFPolicy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAllPoliciesVerifyOnGeneratedWorkloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range Policies {
-		s, err := DispatchWith(w.Graph, w.Platform, asg, pol)
+		s, err := DispatchScratch(w.Graph, w.Platform, asg, pol, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}

@@ -45,33 +45,17 @@ type PreemptiveSchedule struct {
 // Dispatch: a task is ready on processor q only once its window has
 // opened and every predecessor's message has landed on q.
 func DispatchPreemptive(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*PreemptiveSchedule, error) {
-	if usesResources(g) {
+	if numResources(g) > 0 {
 		// Holding an exclusive resource across a preemption would need a
 		// locking protocol (PCP/SRP), out of scope for this dispatcher.
 		return nil, fmt.Errorf("sched: DispatchPreemptive does not support exclusive resources; use Dispatch")
 	}
-	n := g.NumTasks()
-	if len(asg.Arrival) != n || len(asg.AbsDeadline) != n {
-		return nil, fmt.Errorf("sched: assignment covers %d tasks, graph has %d", len(asg.Arrival), n)
+	base, err := newSchedule(g, asg)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if !asg.Arrival[i].IsSet() || !asg.AbsDeadline[i].IsSet() {
-			return nil, fmt.Errorf("sched: task %d has an unassigned window", i)
-		}
-	}
-
-	s := &PreemptiveSchedule{
-		Schedule: Schedule{
-			Placements:  make([]Placement, n),
-			Feasible:    true,
-			MaxLateness: -rtime.Infinity,
-		},
-	}
-	for i := range s.Placements {
-		s.Placements[i] = Placement{Proc: -1}
-	}
-
-	m := p.M()
+	s := &PreemptiveSchedule{Schedule: *base}
+	n, m := g.NumTasks(), p.M()
 	var (
 		remaining = make([]rtime.Time, n) // work left, in units of lastProc's class
 		lastProc  = make([]int, n)        // processor of the most recent slice, -1 never ran
@@ -100,8 +84,6 @@ func DispatchPreemptive(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assig
 		}
 		if !ok {
 			doomed[i] = true
-			s.Feasible = false
-			s.Missed = append(s.Missed, i)
 			done++
 		}
 	}
@@ -270,15 +252,7 @@ func DispatchPreemptive(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assig
 			}
 		}
 		if next == rtime.Infinity {
-			for i := 0; i < n; i++ {
-				if !finished[i] && !doomed[i] {
-					doomed[i] = true
-					done++
-					s.Feasible = false
-					s.Missed = append(s.Missed, i)
-				}
-			}
-			break
+			break // the rest can never start (stuck behind unplaceable predecessors)
 		}
 
 		delta := next - now
@@ -294,22 +268,11 @@ func DispatchPreemptive(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assig
 				done++
 				running[q] = -1
 				s.Placements[i] = Placement{Proc: q, Start: started[i], Finish: next}
-				if next > s.Makespan {
-					s.Makespan = next
-				}
-				late := next - asg.AbsDeadline[i]
-				if late > s.MaxLateness {
-					s.MaxLateness = late
-				}
-				if late > 0 {
-					s.Feasible = false
-					s.Missed = append(s.Missed, i)
-				}
 				s.Order = append(s.Order, i)
 			}
 		}
 		now = next
 	}
-	sort.Ints(s.Missed)
+	s.Account(asg.AbsDeadline)
 	return s, nil
 }

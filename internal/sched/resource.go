@@ -14,26 +14,19 @@ import (
 // injected executor, which replays the dispatcher's resource
 // bookkeeping outside this package.
 func ResourceTable(g *taskgraph.Graph) []rtime.Time {
-	max := -1
-	for _, t := range g.Tasks() {
-		for _, r := range t.Resources {
-			if r > max {
-				max = r
-			}
-		}
-	}
-	return make([]rtime.Time, max+1)
+	return make([]rtime.Time, numResources(g))
 }
 
-// usesResources reports whether any task declares a resource
-// requirement.
-func usesResources(g *taskgraph.Graph) bool {
+// numResources is one more than the largest resource index any task
+// declares, 0 when no task needs an exclusive resource.
+func numResources(g *taskgraph.Graph) int {
+	n := 0
 	for _, t := range g.Tasks() {
-		if len(t.Resources) > 0 {
-			return true
+		for _, r := range t.Resources {
+			n = max(n, r+1)
 		}
 	}
-	return false
+	return n
 }
 
 // verifyResources checks that no two tasks sharing an exclusive

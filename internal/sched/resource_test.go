@@ -48,7 +48,7 @@ func TestEDFPlannerSerializesResourceSharers(t *testing.T) {
 	g := twoSharers(t)
 	p := arch.Homogeneous(2)
 	asg := manual([]rtime.Time{0, 0}, []rtime.Time{30, 30})
-	s, err := EDF(g, p, asg)
+	s, err := ListEDF(g, p, asg, Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestResourceGuards(t *testing.T) {
 	g := twoSharers(t)
 	p := arch.Homogeneous(2)
 	asg := manual([]rtime.Time{0, 0}, []rtime.Time{30, 30})
-	if _, err := InsertEDF(g, p, asg); err == nil {
+	if _, err := ListEDF(g, p, asg, Backfill, nil); err == nil {
 		t.Error("InsertEDF should refuse resource-bearing graphs")
 	}
 	if _, err := DispatchPreemptive(g, p, asg); err == nil {

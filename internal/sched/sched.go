@@ -55,18 +55,10 @@ func (s *Schedule) LatenessOf(i int, deadline rtime.Time) rtime.Time {
 	return s.Placements[i].Finish - deadline
 }
 
-// EDF builds the schedule for graph g on platform p under the
-// arrival-time and deadline assignment asg. The sched package does not
-// care how the assignment was produced; any assignment with one window
-// per task works.
-func EDF(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*Schedule, error) {
-	return EDFScratch(g, p, asg, nil)
-}
-
-// EDFScratch is EDF running over reusable scratch memory (nil allocates
-// internally). The schedule is identical for any scratch state and never
-// aliases it.
-func EDFScratch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *Scratch) (*Schedule, error) {
+// newSchedule checks that asg gives every task of g a window and
+// returns the empty schedule every scheduler here starts from: no task
+// placed yet.
+func newSchedule(g *taskgraph.Graph, asg *slicing.Assignment) (*Schedule, error) {
 	n := g.NumTasks()
 	if len(asg.Arrival) != n || len(asg.AbsDeadline) != n {
 		return nil, fmt.Errorf("sched: assignment covers %d tasks, graph has %d", len(asg.Arrival), n)
@@ -76,123 +68,34 @@ func EDFScratch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, w
 			return nil, fmt.Errorf("sched: task %d has an unassigned window", i)
 		}
 	}
-
-	s := &Schedule{
-		Placements:  make([]Placement, n),
-		Feasible:    true,
-		MaxLateness: -rtime.Infinity,
-	}
+	s := &Schedule{Placements: make([]Placement, n)}
 	for i := range s.Placements {
 		s.Placements[i] = Placement{Proc: -1}
 	}
-
-	if ws == nil {
-		ws = &Scratch{}
-	}
-	ws.ensureList(g, n, p.M())
-	procFree, resFree := ws.procFree, ws.resFree
-	unscheduledPreds := ws.predsLeft
-	ready := ws.ready
-	for i := 0; i < n; i++ {
-		unscheduledPreds[i] = int32(len(g.Preds(i)))
-		if unscheduledPreds[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-
-	scheduled := 0
-	for len(ready) > 0 {
-		// EDF selection: closest absolute deadline; ties break on the
-		// earlier arrival, then the lower ID, for determinism.
-		sel := 0
-		for j := 1; j < len(ready); j++ {
-			a, b := ready[j], ready[sel]
-			switch {
-			case asg.AbsDeadline[a] < asg.AbsDeadline[b]:
-				sel = j
-			case asg.AbsDeadline[a] == asg.AbsDeadline[b] && asg.Arrival[a] < asg.Arrival[b]:
-				sel = j
-			case asg.AbsDeadline[a] == asg.AbsDeadline[b] && asg.Arrival[a] == asg.Arrival[b] && a < b:
-				sel = j
-			}
-		}
-		t := ready[sel]
-		ready = append(ready[:sel], ready[sel+1:]...)
-		task := g.Task(t)
-
-		// Pick the eligible processor with the earliest start time;
-		// ties break on the earlier finish (heterogeneity), then the
-		// lower processor ID.
-		bestProc := -1
-		var bestStart, bestFinish rtime.Time
-		for q := 0; q < p.M(); q++ {
-			if task.Pinned >= 0 && q != task.Pinned {
-				continue // strict locality constraint (§1)
-			}
-			class := p.ClassOf(q)
-			if !task.EligibleOn(class) {
-				continue
-			}
-			start := rtime.Max(procFree[q], asg.Arrival[t])
-			for _, pr := range g.Preds(t) {
-				pl := s.Placements[pr]
-				if pl.Proc < 0 {
-					continue // unplaceable predecessor; precedence moot
-				}
-				arrive := pl.Finish + p.CommCost(pl.Proc, q, g.MessageItems(pr, t))
-				if arrive > start {
-					start = arrive
-				}
-			}
-			for _, res := range task.Resources {
-				if resFree[res] > start {
-					start = resFree[res]
-				}
-			}
-			finish := start + task.WCET[class]
-			if bestProc < 0 || start < bestStart ||
-				(start == bestStart && finish < bestFinish) {
-				bestProc, bestStart, bestFinish = q, start, finish
-			}
-		}
-
-		if bestProc < 0 {
-			// No processor of an eligible class exists: unschedulable.
-			s.Feasible = false
-			s.Missed = append(s.Missed, t)
-		} else {
-			s.Placements[t] = Placement{Proc: bestProc, Start: bestStart, Finish: bestFinish}
-			procFree[bestProc] = bestFinish
-			for _, res := range task.Resources {
-				resFree[res] = bestFinish
-			}
-			if bestFinish > s.Makespan {
-				s.Makespan = bestFinish
-			}
-			late := bestFinish - asg.AbsDeadline[t]
-			if late > s.MaxLateness {
-				s.MaxLateness = late
-			}
-			if late > 0 {
-				s.Feasible = false
-				s.Missed = append(s.Missed, t)
-			}
-		}
-		s.Order = append(s.Order, t)
-		scheduled++
-
-		for _, u := range g.Succs(t) {
-			unscheduledPreds[u]--
-			if unscheduledPreds[u] == 0 {
-				ready = append(ready, u)
-			}
-		}
-	}
-	if scheduled != n {
-		return nil, fmt.Errorf("sched: scheduled %d of %d tasks (precedence cycle?)", scheduled, n)
-	}
-	sort.Ints(s.Missed)
 	return s, nil
+}
+
+// Account sets the verdict of s — Feasible, Missed, MaxLateness and
+// Makespan — from its placements and the absolute deadlines alone: a
+// task misses when it was not placed or finished after its deadline.
+// Every scheduler here ends with it, and a decoded schedule can be
+// checked against it.
+func (s *Schedule) Account(absDeadline []rtime.Time) {
+	s.Missed = nil
+	s.MaxLateness, s.Makespan = -rtime.Infinity, 0
+	for i, pl := range s.Placements {
+		if pl.Proc < 0 {
+			s.Missed = append(s.Missed, i)
+			continue
+		}
+		s.Makespan = rtime.Max(s.Makespan, pl.Finish)
+		late := pl.Finish - absDeadline[i]
+		s.MaxLateness = rtime.Max(s.MaxLateness, late)
+		if late > 0 {
+			s.Missed = append(s.Missed, i)
+		}
+	}
+	s.Feasible = len(s.Missed) == 0
 }
 
 // Verify independently checks a schedule against the graph, the platform

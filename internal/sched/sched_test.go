@@ -28,7 +28,7 @@ func TestSingleTask(t *testing.T) {
 	g.MustAddTask("", c1(10), 0)
 	g.MustFreeze()
 	p := arch.Homogeneous(1)
-	s, err := EDF(g, p, manual([]rtime.Time{0}, []rtime.Time{10}))
+	s, err := ListEDF(g, p, manual([]rtime.Time{0}, []rtime.Time{10}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestDeadlineMiss(t *testing.T) {
 	g.MustAddTask("", c1(10), 0)
 	g.MustFreeze()
 	p := arch.Homogeneous(1)
-	s, err := EDF(g, p, manual([]rtime.Time{0}, []rtime.Time{9}))
+	s, err := ListEDF(g, p, manual([]rtime.Time{0}, []rtime.Time{9}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestEDFOrderByDeadline(t *testing.T) {
 	g.MustAddTask("tight", c1(10), 0)
 	g.MustFreeze()
 	p := arch.Homogeneous(1)
-	s, err := EDF(g, p, manual([]rtime.Time{0, 0}, []rtime.Time{40, 15}))
+	s, err := ListEDF(g, p, manual([]rtime.Time{0, 0}, []rtime.Time{40, 15}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestArrivalTimeRespected(t *testing.T) {
 	g.MustAddTask("", c1(5), 0)
 	g.MustFreeze()
 	p := arch.Homogeneous(2)
-	s, err := EDF(g, p, manual([]rtime.Time{20}, []rtime.Time{30}))
+	s, err := ListEDF(g, p, manual([]rtime.Time{20}, []rtime.Time{30}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCommunicationDelaysRemoteSuccessor(t *testing.T) {
 	g.MustFreeze()
 
 	// One processor: co-located, no comm cost.
-	s1, err := EDF(g, arch.Homogeneous(1), manual([]rtime.Time{0, 10}, []rtime.Time{10, 25}))
+	s1, err := ListEDF(g, arch.Homogeneous(1), manual([]rtime.Time{0, 10}, []rtime.Time{10, 25}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCommunicationDelaysRemoteSuccessor(t *testing.T) {
 
 	// Same-processor placement also wins on two processors, because the
 	// free co-located start (10) beats the remote start (15).
-	s2, err := EDF(g, arch.Homogeneous(2), manual([]rtime.Time{0, 10}, []rtime.Time{10, 25}))
+	s2, err := ListEDF(g, arch.Homogeneous(2), manual([]rtime.Time{0, 10}, []rtime.Time{10, 25}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRemotePlacementPaysBus(t *testing.T) {
 	g.MustFreeze()
 	p := arch.MustNew(arch.Unrelated,
 		[]arch.Class{{Name: "x"}, {Name: "y"}}, []int{0, 1}, arch.Bus{DelayPerItem: 1})
-	s, err := EDF(g, p, manual([]rtime.Time{0, 10}, []rtime.Time{10, 40}))
+	s, err := ListEDF(g, p, manual([]rtime.Time{0, 10}, []rtime.Time{10, 40}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestHeterogeneousPrefersEarlierFinishOnTie(t *testing.T) {
 	g.MustFreeze()
 	p := arch.MustNew(arch.Unrelated,
 		[]arch.Class{{Name: "slow"}, {Name: "fast"}}, []int{0, 1}, arch.Bus{DelayPerItem: 1})
-	s, err := EDF(g, p, manual([]rtime.Time{0}, []rtime.Time{30}))
+	s, err := ListEDF(g, p, manual([]rtime.Time{0}, []rtime.Time{30}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestNoEligibleProcessor(t *testing.T) {
 	// Platform only hosts class 1.
 	p := arch.MustNew(arch.Unrelated,
 		[]arch.Class{{Name: "x"}, {Name: "y"}}, []int{1}, arch.Bus{DelayPerItem: 1})
-	s, err := EDF(g, p, manual([]rtime.Time{0}, []rtime.Time{100}))
+	s, err := ListEDF(g, p, manual([]rtime.Time{0}, []rtime.Time{100}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestAssignmentShapeValidation(t *testing.T) {
 	g.MustAddTask("", c1(5), 0)
 	g.MustFreeze()
 	p := arch.Homogeneous(1)
-	if _, err := EDF(g, p, manual(nil, nil)); err == nil {
+	if _, err := ListEDF(g, p, manual(nil, nil), Reserve, nil); err == nil {
 		t.Error("short assignment accepted")
 	}
 	bad := manual([]rtime.Time{rtime.Unset}, []rtime.Time{10})
-	if _, err := EDF(g, p, bad); err == nil {
+	if _, err := ListEDF(g, p, bad, Reserve, nil); err == nil {
 		t.Error("unset arrival accepted")
 	}
 }
@@ -213,7 +213,7 @@ func TestNonPreemptiveContention(t *testing.T) {
 	}
 	g.MustFreeze()
 	p := arch.Homogeneous(1)
-	s, err := EDF(g, p, manual([]rtime.Time{0, 0, 0}, []rtime.Time{30, 10, 20}))
+	s, err := ListEDF(g, p, manual([]rtime.Time{0, 0, 0}, []rtime.Time{30, 10, 20}), Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSliceThenSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := arch.Homogeneous(2)
-	s, err := EDF(g, p, asg)
+	s, err := ListEDF(g, p, asg, Reserve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestEDFAlwaysVerifies(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := EDF(g, p, asg)
+		s, err := ListEDF(g, p, asg, Reserve, nil)
 		if err != nil {
 			t.Logf("seed %d: EDF: %v", seed, err)
 			return false

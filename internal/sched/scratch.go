@@ -5,13 +5,12 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// ispan is one busy interval of a processor timeline (InsertEDF's gap
-// scanner).
+// ispan is one busy interval of a processor timeline (ListEDF).
 type ispan struct{ start, end rtime.Time }
 
 // Scratch is the reusable working memory of the schedulers in this
-// package: the dispatcher's ready/landing tables, the list schedulers'
-// ready queues, and the insertion scheduler's timelines. A zero Scratch
+// package: the dispatcher's ready/landing tables, and the list
+// scheduler's ready queue and processor timelines. A zero Scratch
 // is ready to use; it grows to the largest (tasks × processors) shape it
 // has seen. A Scratch is not safe for concurrent use — pool instances
 // (pipeline.BuildScratch does) instead of sharing one.
@@ -29,29 +28,14 @@ type Scratch struct {
 	timeline  [][]ispan
 }
 
-// ensureList sizes the subset every scheduler here shares: idle times,
-// resource release times, predecessor counters, and the ready queue.
-func (ws *Scratch) ensureList(g *taskgraph.Graph, n, m int) {
-	if cap(ws.procFree) < m {
-		ws.procFree = make([]rtime.Time, m)
+// ensureList sizes the subset both schedulers share: resource release
+// times, predecessor counters, and the ready queue.
+func (ws *Scratch) ensureList(g *taskgraph.Graph, n int) {
+	nres := numResources(g)
+	if cap(ws.resFree) < nres {
+		ws.resFree = make([]rtime.Time, nres)
 	}
-	ws.procFree = ws.procFree[:m]
-	for q := range ws.procFree {
-		ws.procFree[q] = 0
-	}
-
-	maxRes := -1
-	for _, t := range g.Tasks() {
-		for _, r := range t.Resources {
-			if r > maxRes {
-				maxRes = r
-			}
-		}
-	}
-	if cap(ws.resFree) < maxRes+1 {
-		ws.resFree = make([]rtime.Time, maxRes+1)
-	}
-	ws.resFree = ws.resFree[:maxRes+1]
+	ws.resFree = ws.resFree[:nres]
 	for r := range ws.resFree {
 		ws.resFree[r] = 0
 	}
@@ -67,9 +51,18 @@ func (ws *Scratch) ensureList(g *taskgraph.Graph, n, m int) {
 	ws.ready = ws.ready[:0]
 }
 
-// ensure additionally sizes the dispatcher's done/minC/landing tables.
+// ensure additionally sizes the dispatcher's idle-time, done, minC and
+// landing tables.
 func (ws *Scratch) ensure(g *taskgraph.Graph, n, m int) {
-	ws.ensureList(g, n, m)
+	ws.ensureList(g, n)
+
+	if cap(ws.procFree) < m {
+		ws.procFree = make([]rtime.Time, m)
+	}
+	ws.procFree = ws.procFree[:m]
+	for q := range ws.procFree {
+		ws.procFree[q] = 0
+	}
 
 	if cap(ws.done) < n {
 		ws.done = make([]bool, n)

@@ -247,7 +247,7 @@ func TestDispatchScratchMatchesReference(t *testing.T) {
 	}
 }
 
-// EDF and InsertEDF over a reused scratch must match their
+// ListEDF in both modes over a reused scratch must match its
 // fresh-allocation runs on every workload.
 func TestListSchedulersScratchReuse(t *testing.T) {
 	ws := &Scratch{}
@@ -264,16 +264,16 @@ func TestListSchedulersScratchReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want, err1 := EDF(w.Graph, w.Platform, asg)
-			got, err2 := EDFScratch(w.Graph, w.Platform, asg, ws)
+			want, err1 := ListEDF(w.Graph, w.Platform, asg, Reserve, nil)
+			got, err2 := ListEDF(w.Graph, w.Platform, asg, Reserve, ws)
 			if (err1 == nil) != (err2 == nil) || (err1 == nil && !reflect.DeepEqual(want, got)) {
-				t.Fatalf("cfg %d seed %d: EDFScratch diverged (err %v vs %v)", ci, seed, err1, err2)
+				t.Fatalf("cfg %d seed %d: Reserve diverged (err %v vs %v)", ci, seed, err1, err2)
 			}
 
-			want, err1 = InsertEDF(w.Graph, w.Platform, asg)
-			got, err2 = InsertEDFScratch(w.Graph, w.Platform, asg, ws)
+			want, err1 = ListEDF(w.Graph, w.Platform, asg, Backfill, nil)
+			got, err2 = ListEDF(w.Graph, w.Platform, asg, Backfill, ws)
 			if (err1 == nil) != (err2 == nil) || (err1 == nil && !reflect.DeepEqual(want, got)) {
-				t.Fatalf("cfg %d seed %d: InsertEDFScratch diverged (err %v vs %v)", ci, seed, err1, err2)
+				t.Fatalf("cfg %d seed %d: InsertReserve diverged (err %v vs %v)", ci, seed, err1, err2)
 			}
 		}
 	}

@@ -224,7 +224,7 @@ func TestSchedulersReplayCleanly(t *testing.T) {
 			return false
 		}
 		for _, build := range []func() (*sched.Schedule, error){
-			func() (*sched.Schedule, error) { return sched.EDF(w.Graph, w.Platform, asg) },
+			func() (*sched.Schedule, error) { return sched.ListEDF(w.Graph, w.Platform, asg, sched.Reserve, nil) },
 			func() (*sched.Schedule, error) { return sched.Dispatch(w.Graph, w.Platform, asg) },
 		} {
 			s, err := build()
