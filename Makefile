@@ -100,10 +100,15 @@ bench-serve:
 	sh scripts/bench-serve.sh
 
 # Native fuzzers: the checkpoint-journal parser, the workload reader
-# (plain and release-aware), and the chaos scenario parser, each
-# briefly past their checked-in seed corpora.
+# (plain and release-aware), the chaos scenario parser, and the plan
+# decoders behind /cache/fill, warm fill and snapshot loads, each
+# briefly past their checked-in seed corpora. The plan decoders' seeds
+# are whole serialized plans, so their minimization is capped at 100
+# runs per input; uncapped, shrinking a kilobyte input eats the budget.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=10s ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkload$$' -fuzztime=10s ./internal/graphio/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkloadRelease$$' -fuzztime=10s ./internal/graphio/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseScenario$$' -fuzztime=10s ./internal/chaos/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeKeyParam$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/pipeline/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadSnapshot$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/pipeline/

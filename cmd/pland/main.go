@@ -29,18 +29,17 @@
 // and -self names this one. Each node then routes a request to its
 // workload fingerprint's ring owner through the retry/hedge/breaker
 // client, probes its peers' /healthz, and routes around the dead ones.
-// Requests may carry X-Plan-Criticality: under queue pressure the
-// server sheds "optional" work before "mandatory".
+// Requests may carry X-Plan-Criticality: "optional" or "mandatory".
 //
-// Overload: past criticality shedding, an adaptive admission
-// controller (-admit-target, -admit-window) watches queue delay and
-// thins admitted load when it stays over target, while a brownout
-// ladder (-brownout-cheap, -brownout-cache-only) first degrades cold
-// builds to a cheap configuration and then serves cached plans only,
-// instead of failing outright; every 200 carries its served quality in
-// X-Plan-Quality. POST /plan/batch (capped by -max-batch) plans many
-// workloads under the same shared admission budget and returns
-// per-item outcomes.
+// Overload: one controller watches queue delay (-admit-target,
+// -admit-window). While it stays over target the server sheds
+// "optional" work first and then thins the rest of the offered load,
+// and a brownout ladder (-brownout-cheap, -brownout-cache-only) first
+// degrades cold builds to a cheap configuration and then serves cached
+// plans only, instead of failing outright; every 200 carries its served
+// quality in X-Plan-Quality. POST /plan/batch (capped by -max-batch)
+// plans many workloads under the same shared admission budget and
+// returns per-item outcomes.
 //
 // -chaos loads a fault-injection scenario (internal/chaos JSON) and
 // wraps both the serving handler and the fleet client with it, for
@@ -66,6 +65,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -103,7 +103,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	snapEvery := fs.Duration("snapshot-interval", 30*time.Second, "background cache snapshot interval")
 	warmFill := fs.Bool("warm-fill", false, "pull hot plans from ring neighbors (owner+standby replication) and push hinted handoffs; fleet mode only")
 	warmEvery := fs.Duration("warm-fill-interval", 2*time.Second, "warm-fill round interval")
-	admitTarget := fs.Duration("admit-target", 25*time.Millisecond, "queue-delay target for adaptive admission (negative disables the controller)")
+	admitTarget := fs.Duration("admit-target", 25*time.Millisecond, "queue-delay target of the overload controller: over-target windows shed optional work, thin admission and climb the brownout ladder (0 = 25ms)")
 	admitWindow := fs.Duration("admit-window", 250*time.Millisecond, "adaptive-admission measurement window")
 	brownCheap := fs.Duration("brownout-cheap", 0, "queue delay that engages cheap builds (0 = 2x admit-target)")
 	brownCacheOnly := fs.Duration("brownout-cache-only", 0, "queue delay that engages cache-only serving (0 = 8x admit-target)")
@@ -111,6 +111,9 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	verifyDefault := fs.String("verify", "", "default verification mode for requests without ?verify= (off, feas, analytic, replay, analytic-first)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *admitTarget < 0 {
+		return errors.New("-admit-target must not be negative")
 	}
 	if *warmFill && *peersSpec == "" {
 		return errors.New("-warm-fill needs fleet mode (-peers and -self)")
@@ -228,8 +231,12 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if prober != nil {
 		go prober.Run(ctx)
 	}
+	// snapshots is waited for before the final save, so no periodic
+	// save is still writing when run returns.
+	var snapshots sync.WaitGroup
 	if *snapPath != "" && *snapEvery > 0 {
-		go srv.RunSnapshots(ctx, *snapPath, *snapEvery)
+		snapshots.Add(1)
+		go func() { defer snapshots.Done(); srv.RunSnapshots(ctx, *snapPath, *snapEvery) }()
 	}
 	if *warmFill {
 		fmt.Fprintf(logw, "pland: warm fill every %v\n", *warmEvery)
@@ -258,6 +265,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 	// The post-drain save persists plans finished during the drain
 	// window itself (RunSnapshots' final save raced the shutdown).
+	snapshots.Wait()
 	if *snapPath != "" {
 		if n, err := srv.SaveSnapshot(*snapPath); err != nil {
 			fmt.Fprintf(logw, "pland: final snapshot failed: %v\n", err)

@@ -97,25 +97,11 @@ func dispatch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, pol
 		}
 	}
 
-	// eligibleAnywhere pre-screens tasks that can never run; minC feeds
-	// the LLF policy's dynamic laxity.
+	// minExec pre-screens tasks that can never run; minC feeds the LLF
+	// policy's dynamic laxity.
 	present := p.ClassesPresent()
 	for i := 0; i < n; i++ {
-		minC[i] = rtime.Infinity
-		if pin := g.Task(i).Pinned; pin >= 0 {
-			if pin < m {
-				if c := g.Task(i).WCET[p.ClassOf(pin)]; c.IsSet() {
-					minC[i] = c
-				}
-			}
-		} else {
-			for k, c := range g.Task(i).WCET {
-				if c.IsSet() && k < len(present) && present[k] && c < minC[i] {
-					minC[i] = c
-				}
-			}
-		}
-		if minC[i] == rtime.Infinity {
+		if minC[i] = minExec(g.Task(i), p, present); minC[i] == rtime.Infinity {
 			done[i] = true // treat as absent; successors become stuck too
 			placed++
 			// An unplaceable predecessor never finishes and never sends:
@@ -266,6 +252,29 @@ func dispatch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, pol
 	}
 	s.Account(asg.AbsDeadline)
 	return s, nil
+}
+
+// minExec is the up-front eligibility screen of the time-driven and
+// the preemptive dispatcher: the task's least execution time over the
+// processors it may run on — its pin, or any present class it is
+// eligible for (present is p.ClassesPresent()) — or rtime.Infinity when
+// there is none and the task can never be placed.
+func minExec(task *taskgraph.Task, p *arch.Platform, present []bool) rtime.Time {
+	best := rtime.Infinity
+	if pin := task.Pinned; pin >= 0 {
+		if pin < p.M() {
+			if c := task.WCET[p.ClassOf(pin)]; c.IsSet() {
+				best = c
+			}
+		}
+		return best
+	}
+	for k, c := range task.WCET {
+		if c.IsSet() && k < len(present) && present[k] && c < best {
+			best = c
+		}
+	}
+	return best
 }
 
 // actualTime is ceil(f · c), at least one time unit.

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/arch"
 	"repro/internal/gen"
@@ -90,36 +89,38 @@ func TestInsertFitsExactGap(t *testing.T) {
 // generated workloads (strict dominance is impossible: backfilling is a
 // greedy heuristic and multiprocessor scheduling anomalies cut both
 // ways — the unit tests above pin the specific pathology insertion
-// fixes).
+// fixes). The seed set is fixed, so the counts are a measured property
+// of it rather than a draw: on seeds 1..40 plain EDF meets every
+// deadline on 33 workloads and insertion on 31, and the bound is that
+// measured gap of 2.
 func TestInsertVerifiesAndDominatesPlain(t *testing.T) {
 	plainSucc, insSucc := 0, 0
-	f := func(seed int64) bool {
+	for seed := int64(1); seed <= 40; seed++ {
 		cfg := gen.Default(3)
 		cfg.Seed = seed
 		cfg.OLR = 0.5
 		w, err := gen.Generate(cfg)
 		if err != nil {
-			return false
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		est, err := wcet.Estimates(w.Graph, w.Platform, wcet.AVG)
 		if err != nil {
-			return false
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		asg, err := slicing.Distribute(w.Graph, est, 3, slicing.AdaptL(), slicing.CalibratedParams())
 		if err != nil {
-			return false
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		plain, err := ListEDF(w.Graph, w.Platform, asg, Reserve, nil)
 		if err != nil {
-			return false
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		ins, err := ListEDF(w.Graph, w.Platform, asg, Backfill, nil)
 		if err != nil {
-			return false
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if err := Verify(w.Graph, w.Platform, asg, ins); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if plain.Feasible {
 			plainSucc++
@@ -127,13 +128,9 @@ func TestInsertVerifiesAndDominatesPlain(t *testing.T) {
 		if ins.Feasible {
 			insSucc++
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 	t.Logf("plain %d, insertion %d", plainSucc, insSucc)
-	if insSucc < plainSucc-4 {
+	if insSucc < plainSucc-2 {
 		t.Errorf("insertion (%d) far below plain EDF (%d)", insSucc, plainSucc)
 	}
 }

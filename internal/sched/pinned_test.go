@@ -48,6 +48,54 @@ func TestPinnedTaskStaysPut(t *testing.T) {
 	}
 }
 
+// TestUnplaceablePinIsScreened: a task pinned to a processor the
+// platform does not have, or to one of a class it cannot run on, is
+// missed up front by every scheduler, and its successor still runs.
+func TestUnplaceablePinIsScreened(t *testing.T) {
+	hetero := arch.MustNew(arch.Unrelated, []arch.Class{{}, {}}, []int{0, 1}, arch.Bus{DelayPerItem: 1})
+	for _, in := range []struct {
+		name        string
+		stuck, next []rtime.Time
+		pin         int
+		p           *arch.Platform
+	}{
+		{"pinned-outside", c1(10), c1(10), 5, arch.Homogeneous(2)},
+		{"pinned-ineligible", []rtime.Time{10, rtime.Unset}, []rtime.Time{10, 10}, 1, hetero},
+	} {
+		g := taskgraph.NewGraph(len(in.stuck))
+		g.MustAddTask("stuck", in.stuck, 0).Pinned = in.pin
+		g.MustAddTask("next", in.next, 0)
+		g.MustAddArc(0, 1, 0)
+		g.MustFreeze()
+		asg := manual([]rtime.Time{0, 0}, []rtime.Time{20, 40})
+
+		runs := map[string]func() (*Schedule, error){
+			"dispatch": func() (*Schedule, error) { return Dispatch(g, in.p, asg) },
+			"planner":  func() (*Schedule, error) { return ListEDF(g, in.p, asg, Reserve, nil) },
+			"insert":   func() (*Schedule, error) { return ListEDF(g, in.p, asg, Backfill, nil) },
+			"preemptive": func() (*Schedule, error) {
+				pre, err := DispatchPreemptive(g, in.p, asg)
+				if err != nil {
+					return nil, err
+				}
+				return &pre.Schedule, nil
+			},
+		}
+		for name, run := range runs {
+			s, err := run()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", in.name, name, err)
+			}
+			if len(s.Missed) != 1 || s.Missed[0] != 0 {
+				t.Errorf("%s/%s: missed %v, want [0]", in.name, name, s.Missed)
+			}
+			if pl := s.Placements[1]; pl.Proc < 0 {
+				t.Errorf("%s/%s: successor of the unplaceable task not placed: %+v", in.name, name, pl)
+			}
+		}
+	}
+}
+
 func TestPinnedTasksSerializeOnSharedProcessor(t *testing.T) {
 	// Two tasks pinned to the same processor must serialize even with a
 	// second idle processor.

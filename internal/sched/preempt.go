@@ -75,14 +75,7 @@ func DispatchPreemptive(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assig
 	present := p.ClassesPresent()
 	done := 0
 	for i := 0; i < n; i++ {
-		ok := false
-		for k, c := range g.Task(i).WCET {
-			if c.IsSet() && k < len(present) && present[k] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if minExec(g.Task(i), p, present) == rtime.Infinity {
 			doomed[i] = true
 			done++
 		}

@@ -4,7 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/taskgraph"
 )
 
 // Adaptive admission and the brownout ladder.
@@ -15,17 +18,19 @@ import (
 // watches the signal that actually hurts clients, queue *delay* (the
 // sojourn time a request spends waiting for a planning slot), and acts
 // on it CoDel-style: a target sojourn, measured over short windows,
-// with the worst observation per window driving two coupled responses:
+// with the worst observation per window driving every overload
+// response the server has:
 //
 //   - an AIMD admit fraction: while the worst sojourn of a window
 //     exceeds the target the fraction of offered work admitted shrinks
 //     multiplicatively; while it stays under, the fraction recovers
 //     additively. Measuring a *fraction* of offered load (rather than
 //     an absolute rate) keeps the controller calibration-free across
-//     hardware and workload sizes. Criticality stays the first rung:
-//     an over-target window also engages Optional-only shedding
-//     (hysteretically, released at half target), so the optional tier
-//     absorbs the first cut before any mandatory request is refused.
+//     hardware and workload sizes.
+//   - the criticality rung, ahead of the coin: an over-target window
+//     engages Optional-only shedding (hysteretically, released at half
+//     target), so the optional tier absorbs the first cut before any
+//     mandatory request is refused.
 //   - a brownout ladder for the work that is admitted: as the worst
 //     sojourn crosses configurable rungs, cold builds step down to
 //     progressively cheaper pipeline configurations — full plan →
@@ -70,13 +75,24 @@ func (l brownoutLevel) String() string {
 	return "?"
 }
 
+// The control law's fixed steps: the admit fraction's multiplicative
+// cut per overloaded window, its additive recovery per clean window,
+// and its floor (a trickle always passes, so the controller keeps
+// measuring); and how many consecutive windows below a rung's release
+// threshold (half the rung) re-promote one brownout level.
+const (
+	admitDecrease = 0.7
+	admitIncrease = 0.05
+	admitMinFrac  = 0.05
+	promoteAfter  = 3
+)
+
 // admitOptions are the controller tunables; zero fields take the
 // documented defaults (withDefaults).
 type admitOptions struct {
 	// Target is the queue-delay (sojourn) target; windows whose worst
-	// sojourn exceeds it count as overloaded. 0 means 25ms; negative
-	// disables the controller entirely (admitController becomes a
-	// pass-through).
+	// sojourn exceeds it count as overloaded. 0 (or negative) means
+	// 25ms.
 	Target time.Duration
 	// Window is the control window length. 0 means 250ms.
 	Window time.Duration
@@ -86,21 +102,12 @@ type admitOptions struct {
 	// negative disables the rung.
 	CheapAt     time.Duration
 	CacheOnlyAt time.Duration
-	// PromoteAfter is how many consecutive windows below a rung's
-	// release threshold (half the rung) re-promote one level. 0 means 3.
-	PromoteAfter int
-	// Decrease is the multiplicative admit-fraction cut per overloaded
-	// window; 0 means 0.7. Increase is the additive recovery per clean
-	// window; 0 means 0.05. MinFrac floors the fraction so the
-	// controller always lets a trickle through to keep measuring; 0
-	// means 0.05.
-	Decrease, Increase, MinFrac float64
 	// Seed seeds the admit coin. 0 means 1.
 	Seed int64
 }
 
 func (o admitOptions) withDefaults() admitOptions {
-	if o.Target == 0 {
+	if o.Target <= 0 {
 		o.Target = 25 * time.Millisecond
 	}
 	if o.Window <= 0 {
@@ -112,23 +119,23 @@ func (o admitOptions) withDefaults() admitOptions {
 	if o.CacheOnlyAt == 0 {
 		o.CacheOnlyAt = 8 * o.Target
 	}
-	if o.PromoteAfter <= 0 {
-		o.PromoteAfter = 3
-	}
-	if o.Decrease <= 0 || o.Decrease >= 1 {
-		o.Decrease = 0.7
-	}
-	if o.Increase <= 0 {
-		o.Increase = 0.05
-	}
-	if o.MinFrac <= 0 {
-		o.MinFrac = 0.05
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	return o
 }
+
+// verdict is the controller's answer for one offered request: a seat
+// in the bounded queue (admitPass), or a 429 from the criticality rung
+// (admitShedRung, Optional requests only) or the AIMD coin
+// (admitShedCoin).
+type verdict int
+
+const (
+	admitPass verdict = iota
+	admitShedRung
+	admitShedCoin
+)
 
 // admitController is the queue-delay admission controller plus the
 // brownout ladder state. Safe for concurrent use.
@@ -138,7 +145,7 @@ type admitController struct {
 
 	mu sync.Mutex
 	// frac is the current admitted fraction of offered load, in
-	// [MinFrac, 1].
+	// [admitMinFrac, 1].
 	frac float64
 	// worst is the worst sojourn observed in the current window;
 	// lastWorst is the previous window's, exported as the delay gauge.
@@ -148,14 +155,17 @@ type admitController struct {
 	// closed windows that argued for a promotion.
 	level brownoutLevel
 	clean int
-	// shedOptional is the hysteretic first rung: engage on an
-	// over-target window, release on a window at or below half target.
+	// shedOptional is the criticality rung: engage on an over-target
+	// window, release on a window at or below half target.
 	shedOptional bool
 	rnd          *rand.Rand
 
 	// transitions counts ladder moves (both directions), for the
 	// flappiness metric.
 	transitions int64
+	// shedEngaged counts criticality-rung engagements. It is written
+	// under mu but atomic so /metrics can read it without the lock.
+	shedEngaged atomic.Int64
 }
 
 // newAdmitController builds a controller on the real clock.
@@ -169,17 +179,11 @@ func newAdmitController(opt admitOptions) *admitController {
 	}
 }
 
-// disabled reports whether the controller is a pass-through.
-func (a *admitController) disabled() bool { return a.opt.Target < 0 }
-
 // observe feeds one queue-sojourn measurement: the time a request
 // spent waiting for a planning slot, whether or not it got one (a
 // request that gave up after 80ms in queue is exactly as loud a signal
 // as one that got a slot after 80ms).
 func (a *admitController) observe(sojourn time.Duration) {
-	if a.disabled() {
-		return
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roll(a.now())
@@ -188,27 +192,24 @@ func (a *admitController) observe(sojourn time.Duration) {
 	}
 }
 
-// admit flips the AIMD coin for one offered request: true admits it
-// into the (still MaxQueue-bounded) queue, false sheds it with 429.
-func (a *admitController) admit() bool {
-	if a.disabled() {
-		return true
-	}
+// admit decides one offered request of criticality crit. While the
+// criticality rung is engaged an Optional request is refused outright,
+// without drawing the coin; anything else flips the AIMD coin.
+func (a *admitController) admit(crit taskgraph.Criticality) verdict {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roll(a.now())
-	if a.frac >= 1 {
-		return true
+	switch {
+	case a.shedOptional && crit == taskgraph.Optional:
+		return admitShedRung
+	case a.frac >= 1 || a.rnd.Float64() < a.frac:
+		return admitPass
 	}
-	return a.rnd.Float64() < a.frac
+	return admitShedCoin
 }
 
-// sheddingOptional reports whether the criticality first rung is
-// engaged.
+// sheddingOptional reports whether the criticality rung is engaged.
 func (a *admitController) sheddingOptional() bool {
-	if a.disabled() {
-		return false
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roll(a.now())
@@ -217,9 +218,6 @@ func (a *admitController) sheddingOptional() bool {
 
 // currentLevel returns the brownout rung governing cold builds.
 func (a *admitController) currentLevel() brownoutLevel {
-	if a.disabled() {
-		return brownoutOff
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roll(a.now())
@@ -229,9 +227,6 @@ func (a *admitController) currentLevel() brownoutLevel {
 // snapshot returns (admit fraction, last closed window's worst sojourn,
 // level, ladder transitions) for /metrics.
 func (a *admitController) snapshot() (frac float64, delay time.Duration, level brownoutLevel, transitions int64) {
-	if a.disabled() {
-		return 1, 0, brownoutOff, 0
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roll(a.now())
@@ -255,8 +250,8 @@ func (a *admitController) roll(now time.Time) {
 		// After a long idle gap, don't replay thousands of empty
 		// windows one by one.
 		if gap := now.Sub(a.windowEnd); gap > 0 {
-			if skip := gap / a.opt.Window; skip > time.Duration(2*a.opt.PromoteAfter) {
-				for i := 0; i < 2*a.opt.PromoteAfter; i++ {
+			if skip := gap / a.opt.Window; skip > time.Duration(2*promoteAfter) {
+				for i := 0; i < 2*promoteAfter; i++ {
 					a.closeWindow()
 				}
 				a.windowEnd = now.Add(a.opt.Window)
@@ -274,13 +269,16 @@ func (a *admitController) closeWindow() {
 
 	// AIMD on the admit fraction.
 	if w > a.opt.Target {
-		a.frac = math.Max(a.opt.MinFrac, a.frac*a.opt.Decrease)
+		a.frac = math.Max(admitMinFrac, a.frac*admitDecrease)
 	} else {
-		a.frac = math.Min(1, a.frac+a.opt.Increase)
+		a.frac = math.Min(1, a.frac+admitIncrease)
 	}
 
-	// Criticality first rung, with a half-target hysteresis band.
+	// Criticality rung, with a half-target hysteresis band.
 	if w > a.opt.Target {
+		if !a.shedOptional {
+			a.shedEngaged.Add(1)
+		}
 		a.shedOptional = true
 	} else if w <= a.opt.Target/2 {
 		a.shedOptional = false
@@ -301,7 +299,7 @@ func (a *admitController) closeWindow() {
 		a.transitions++
 	case a.level > brownoutOff && a.releasesLevel(w):
 		a.clean++
-		if a.clean >= a.opt.PromoteAfter {
+		if a.clean >= promoteAfter {
 			a.level--
 			a.clean = 0
 			a.transitions++

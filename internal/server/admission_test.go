@@ -3,6 +3,8 @@ package server
 import (
 	"testing"
 	"time"
+
+	"repro/internal/taskgraph"
 )
 
 // testAdmit builds a controller on a manually-advanced clock.
@@ -55,18 +57,18 @@ func TestAdmitFractionFloor(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		closeWith(a, clock, time.Second)
 	}
-	if f, _, _, _ := a.snapshot(); f != a.opt.MinFrac {
-		t.Fatalf("frac = %v, want floor %v", f, a.opt.MinFrac)
+	if f, _, _, _ := a.snapshot(); f != admitMinFrac {
+		t.Fatalf("frac = %v, want floor %v", f, admitMinFrac)
 	}
 	// Even at the floor a trickle passes: over many coins, some admit.
 	admitted := 0
 	for i := 0; i < 1000; i++ {
-		if a.admit() {
+		if a.admit(taskgraph.Mandatory) == admitPass {
 			admitted++
 		}
 	}
 	if admitted == 0 || admitted == 1000 {
-		t.Fatalf("admitted %d/1000 at floor frac %v, want a nonzero minority", admitted, a.opt.MinFrac)
+		t.Fatalf("admitted %d/1000 at floor frac %v, want a nonzero minority", admitted, admitMinFrac)
 	}
 }
 
@@ -76,7 +78,7 @@ func TestAdmitProbabilistic(t *testing.T) {
 	closeWith(a, clock, 50*time.Millisecond)
 	admitted := 0
 	for i := 0; i < 2000; i++ {
-		if a.admit() {
+		if a.admit(taskgraph.Mandatory) == admitPass {
 			admitted++
 		}
 	}
@@ -184,23 +186,10 @@ func TestAdmitIdleDecaysToCalm(t *testing.T) {
 		t.Fatal("optional shedding survived idle gap")
 	}
 	if f, _, _, _ := a.snapshot(); f >= 1 {
-		// frac recovers additively; after 2*PromoteAfter skipped windows
+		// frac recovers additively; after 2*promoteAfter skipped windows
 		// it may not be back to 1 — but it must be rising, and another
 		// idle gap finishes the job.
 		*clock = clock.Add(2 * time.Hour)
-	}
-}
-
-func TestAdmitDisabled(t *testing.T) {
-	a, clock := testAdmit(admitOptions{Target: -1})
-	for i := 0; i < 10; i++ {
-		closeWith(a, clock, time.Hour)
-	}
-	if !a.admit() || a.sheddingOptional() || a.currentLevel() != brownoutOff {
-		t.Fatal("disabled controller acted on observations")
-	}
-	if f, d, l, tr := a.snapshot(); f != 1 || d != 0 || l != brownoutOff || tr != 0 {
-		t.Fatalf("disabled snapshot = %v %v %v %v, want 1 0 off 0", f, d, l, tr)
 	}
 }
 

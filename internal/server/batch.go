@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cluster/client"
-	"repro/internal/graphio"
 	"repro/internal/pipeline"
 	"repro/internal/taskgraph"
 )
@@ -137,22 +135,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]BatchItemResult, len(req.Items))
 	work := make([]*batchWork, len(req.Items))
 	for i, it := range req.Items {
-		crit, err := parseCriticality(it.Criticality)
-		if err != nil {
+		var err error
+		if work[i], err = decodeBatchItem(it); err != nil {
 			results[i] = s.batchResult(planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()})
-			continue
 		}
-		g, p, err := graphio.ReadWorkload(bytes.NewReader(it.Workload))
-		if err != nil {
-			results[i] = s.batchResult(planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()})
-			continue
-		}
-		if p == nil {
-			results[i] = s.batchResult(planOutcome{code: http.StatusUnprocessableEntity,
-				errMsg: "workload carries no platform; the planner needs one"})
-			continue
-		}
-		work[i] = &batchWork{crit: crit, g: g, p: p, fp: pipeline.Fingerprint(g, p), raw: it.Workload}
 	}
 
 	// Fleet fan-out: ship each remote owner's items as one routed
@@ -179,11 +165,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if wk == nil || results[i].Status != "" {
 			continue
 		}
-		out := s.planOne(r.Context(), cfg, wk.crit, wk.g, wk.p)
-		s.countOutcome(out)
-		results[i] = s.batchResult(out)
+		results[i] = s.batchResult(s.planOne(r.Context(), cfg, wk.crit, wk.g, wk.p))
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Items: results})
+}
+
+// decodeBatchItem parses one item's criticality and workload.
+func decodeBatchItem(it BatchItem) (*batchWork, error) {
+	crit, err := parseCriticality(it.Criticality)
+	if err != nil {
+		return nil, err
+	}
+	g, p, err := readWorkload(it.Workload)
+	if err != nil {
+		return nil, err
+	}
+	return &batchWork{crit: crit, g: g, p: p, fp: pipeline.Fingerprint(g, p), raw: it.Workload}, nil
 }
 
 // batchRemote ships one owner group as a routed sub-batch through the
@@ -222,8 +219,10 @@ func (s *Server) batchRemote(ctx context.Context, rt *Router, cfg planConfig, qu
 	}
 }
 
-// batchResult folds a planOutcome into the per-item wire shape.
+// batchResult counts a locally decided item like a single /plan answer
+// and folds it into the per-item wire shape.
 func (s *Server) batchResult(o planOutcome) BatchItemResult {
+	s.countOutcome(o)
 	res := BatchItemResult{Code: o.code}
 	switch {
 	case o.code == http.StatusOK && o.quality == pipeline.QualityDegraded:

@@ -82,9 +82,13 @@ func TestBatchEndpoint(t *testing.T) {
 	if got := metricValue(t, text, "pland_batch_items_total"); got != 3 {
 		t.Fatalf("batch items = %g, want 3", got)
 	}
-	// The two planned items count like single requests.
+	// The two planned items and the malformed one count like single
+	// requests.
 	if got := metricValue(t, text, `pland_requests_total{outcome="served"}`); got != 2 {
 		t.Fatalf("served = %g, want 2", got)
+	}
+	if got := metricValue(t, text, `pland_requests_total{outcome="rejected"}`); got != 1 {
+		t.Fatalf("rejected = %g, want 1", got)
 	}
 }
 
@@ -114,7 +118,13 @@ func TestBatchSharesAdmissionBudget(t *testing.T) {
 	defer ts.Close()
 
 	// Occupy the slot.
-	go http.Post(ts.URL+"/plan", "application/json", bytes.NewReader(workloadBody(t, 81)))
+	first, body := make(chan struct{}), workloadBody(t, 81)
+	go func() {
+		defer close(first)
+		if resp, err := http.Post(ts.URL+"/plan", "application/json", bytes.NewReader(body)); err == nil {
+			resp.Body.Close()
+		}
+	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.inFlight.Load() == 0 && srv.slots != nil && len(srv.slots) == 0 {
 		if time.Now().After(deadline) {
@@ -141,8 +151,10 @@ func TestBatchSharesAdmissionBudget(t *testing.T) {
 	}
 
 	// A closed hold releases every later build immediately; leaving it
-	// in place (not nil) avoids racing the still-running first request.
+	// in place (not nil) avoids racing the still-running first request,
+	// and waiting for that request frees its slot before the retry.
 	close(srv.holdBuild)
+	<-first
 	resp, br, raw = postBatch(t, ts.URL, "", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, raw)

@@ -199,8 +199,8 @@ func TestBrownoutRecovers(t *testing.T) {
 	if srv.adm.currentLevel() != brownoutCacheOnly {
 		t.Fatal("setup: not at cache-only")
 	}
-	// 2 × PromoteAfter clean windows: back to full.
-	for i := 0; i < 2*srv.adm.opt.PromoteAfter; i++ {
+	// 2 × promoteAfter clean windows: back to full.
+	for i := 0; i < 2*promoteAfter; i++ {
 		clock = clock.Add(srv.adm.opt.Window)
 	}
 	if l := srv.adm.currentLevel(); l != brownoutOff {

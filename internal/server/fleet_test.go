@@ -50,13 +50,24 @@ func TestCriticalityHeader(t *testing.T) {
 	}
 }
 
-// TestShedHysteresis drives the overload ladder end to end: queue depth
-// crossing the high-water mark sheds Optional requests while Mandatory
-// ones keep their queue seats, and once the queue drains below the
-// low-water mark the optional tier is re-admitted.
+// TestShedHysteresis drives the criticality rung end to end: a
+// request that waits in the queue past the sojourn target engages the
+// rung at the window's close, Optional requests are then shed while
+// Mandatory ones keep their queue seats, and a calm window (worst
+// sojourn at most half the target) re-admits the optional tier. The
+// controller runs on a manual clock so windows close exactly when the
+// test says; the sojourns themselves are real.
 func TestShedHysteresis(t *testing.T) {
-	srv := New(Options{MaxInFlight: 1, MaxQueue: 4, ShedHighFrac: 0.5, ShedLowFrac: 0.25})
+	srv := New(Options{MaxInFlight: 1, MaxQueue: 4})
 	srv.holdBuild = make(chan struct{})
+	var clockMu sync.Mutex
+	clock := time.Now()
+	srv.adm.now = func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return clock }
+	advance := func(windows int) {
+		clockMu.Lock()
+		clock = clock.Add(time.Duration(windows) * srv.adm.opt.Window)
+		clockMu.Unlock()
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	body := workloadBody(t, 21)
@@ -77,12 +88,35 @@ func TestShedHysteresis(t *testing.T) {
 		}
 		done <- err
 	}
-	// One request holds the slot; two more fill the queue to the
-	// high-water mark (0.5 × 4 = 2).
+	// One request holds the slot; a second waits in the queue for twice
+	// the sojourn target before the first is let go.
 	go post("")
 	go post("mandatory")
-	go post("mandatory")
-	waitGauge(t, ts, "pland_queue_depth", 2)
+	waitGauge(t, ts, "pland_queue_depth", 1)
+	time.Sleep(2 * srv.adm.opt.Target)
+	srv.holdBuild <- struct{}{}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		srv.adm.mu.Lock()
+		worst := srv.adm.worst
+		srv.adm.mu.Unlock()
+		if worst > srv.adm.opt.Target {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queued request's sojourn %v never observed over target", worst)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Closing that window engages the rung. Pin the admit fraction back
+	// to 1 so only the rung, not the AIMD coin, shapes what follows.
+	advance(1)
+	if !srv.adm.sheddingOptional() {
+		t.Fatal("over-target window did not engage the rung")
+	}
+	srv.adm.mu.Lock()
+	srv.adm.frac = 1
+	srv.adm.mu.Unlock()
 
 	// Optional work is now shed up front with the pressure-derived hint.
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/plan", bytes.NewReader(body))
@@ -103,22 +137,27 @@ func TestShedHysteresis(t *testing.T) {
 	if got := metricValue(t, text, "pland_shedding"); got != 1 {
 		t.Fatalf("pland_shedding = %g, want 1", got)
 	}
+	if got := metricValue(t, text, "pland_shed_engaged_total"); got != 1 {
+		t.Fatalf("pland_shed_engaged_total = %g, want 1", got)
+	}
 	if got := metricValue(t, text, `pland_shed_total{criticality="optional"}`); got != 1 {
 		t.Fatalf("optional shed = %g, want 1", got)
 	}
 
 	// Mandatory work still gets a queue seat while shedding.
 	go post("mandatory")
-	waitGauge(t, ts, "pland_queue_depth", 3)
+	waitGauge(t, ts, "pland_queue_depth", 1)
 
-	// Drain the queue; depth 0 ≤ low-water releases the ladder, and the
+	// Drain the queue, then close the window that saw the drain and one
+	// calm window after it: the calm window releases the rung, and the
 	// optional tier is admitted again.
 	close(srv.holdBuild)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		if err := <-done; err != nil {
 			t.Fatalf("held request %d failed: %v", i, err)
 		}
 	}
+	advance(2)
 	req2, _ := http.NewRequest(http.MethodPost, ts.URL+"/plan", bytes.NewReader(body))
 	req2.Header.Set(criticalityHeader, "optional")
 	resp2, err := http.DefaultClient.Do(req2)
@@ -137,10 +176,10 @@ func TestShedHysteresis(t *testing.T) {
 
 // TestRetryAfterJittered pins satellite behavior: the 429 hint scales
 // with queue pressure and is jittered, never the constant base. With
-// base 2s and a full queue the hint is 2s × 3 × [0.75, 1.25] → 5..8
-// whole seconds, far from the un-scaled constant 2.
+// the 1s base and a full queue the hint is 1s × 3 × [0.75, 1.25] → 3..4
+// whole seconds, never the un-scaled constant 1.
 func TestRetryAfterJittered(t *testing.T) {
-	srv := New(Options{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 2 * time.Second, ShedHighFrac: -1})
+	srv := New(Options{MaxInFlight: 1, MaxQueue: 1})
 	srv.holdBuild = make(chan struct{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -162,8 +201,8 @@ func TestRetryAfterJittered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Retry-After %q: %v", resp.Header.Get("Retry-After"), err)
 		}
-		if secs < 5 || secs > 8 {
-			t.Fatalf("Retry-After %ds outside the pressure-scaled jitter window [5, 8]", secs)
+		if secs < 3 || secs > 4 {
+			t.Fatalf("Retry-After %ds outside the pressure-scaled jitter window [3, 4]", secs)
 		}
 	}
 	if got := metricValue(t, scrape(t, ts), `pland_shed_total{criticality="mandatory"}`); got != 5 {
@@ -380,10 +419,19 @@ func TestFleetDrainDuringHedge(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("hedged request failed: %v", err)
 	}
+	// The owner's parked request dies with its canceled context and
+	// frees its slot; only then is the hold released, so it cannot race
+	// the cancellation into a build.
+	deadline = time.Now().Add(5 * time.Second)
+	for len(nodes[0].srv.slots) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("owner's parked request never saw its cancellation")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(nodes[0].srv.holdBuild)
 
-	// The owner's parked request dies with its canceled context; only
-	// the hedge's local build ran anywhere in the fleet.
+	// Only the hedge's local build ran anywhere in the fleet.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		total := metricValue(t, scrape(t, nodes[0].ts), "pland_builds_total") +

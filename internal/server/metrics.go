@@ -64,10 +64,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			[]row{{"", float64(s.cache.Len())}}},
 		{"pland_draining", "gauge", "1 while the server refuses new work.",
 			[]row{{"", boolGauge(s.draining.Load())}}},
-		{"pland_shedding", "gauge", "1 while the overload ladder sheds Optional requests.",
-			[]row{{"", boolGauge(s.shedding.Load())}}},
-		{"pland_shed_engaged_total", "counter", "Times the shed ladder engaged (mode entries).",
-			[]row{{"", float64(s.shedEngaged.Load())}}},
+		{"pland_shedding", "gauge", "1 while the overload controller sheds Optional requests.",
+			[]row{{"", boolGauge(s.adm.sheddingOptional())}}},
+		{"pland_shed_engaged_total", "counter", "Times the Optional shed rung engaged (mode entries).",
+			[]row{{"", float64(s.adm.shedEngaged.Load())}}},
 		{"pland_shed_total", "counter", "Requests shed with 429, by criticality.",
 			[]row{
 				{`criticality="optional"`, float64(s.shedOptional.Load())},

@@ -13,15 +13,10 @@
 //     The Retry-After hint is derived from the current queue depth and
 //     jittered, so a thundering herd of rejected clients does not come
 //     back in one synchronized wave.
-//   - criticality-aware shedding: requests carry X-Plan-Criticality
-//     (mandatory, the default, or optional). When queue depth crosses
-//     the high-water mark the server enters shedding mode and rejects
-//     Optional requests up front, keeping the remaining admission
-//     capacity for Mandatory work; it leaves shedding mode when depth
-//     falls below the low-water mark. The hysteresis mirrors the
-//     mixed-criticality mode ladder in internal/degrade: degrade the
-//     optional tier first, re-admit it only once pressure is clearly
-//     gone.
+//   - overload control: requests carry X-Plan-Criticality (mandatory,
+//     the default, or optional). One controller driven by queue sojourn
+//     (admission.go) sheds Optional requests first, then thins the rest
+//     with an AIMD coin, and browns out cold builds.
 //   - routing: with a Router configured (a pland fleet), a request whose
 //     workload fingerprint is owned by another live peer is proxied
 //     there — each plan is built once fleet-wide — and planned locally
@@ -85,23 +80,12 @@ type Options struct {
 	MaxTimeout time.Duration
 	// CacheCapacity sizes the shared plan cache; 0 means 4096.
 	CacheCapacity int
-	// RetryAfter is the base of the hint attached to 429 responses; the
-	// actual hint scales with queue depth and is jittered. 0 means 1s.
-	RetryAfter time.Duration
 	// MaxBodyBytes bounds the request body; 0 means 16 MiB.
 	MaxBodyBytes int64
-	// ShedHighFrac is the queue-depth fraction (of MaxQueue) at which
-	// the server starts shedding Optional-criticality requests; 0 means
-	// 0.75. Negative disables criticality-aware shedding.
-	ShedHighFrac float64
-	// ShedLowFrac is the fraction below which shedding disengages; 0
-	// means 0.25.
-	ShedLowFrac float64
-	// AdmitTarget is the queue-delay (sojourn) target of the adaptive
-	// admission controller: windows whose worst queue wait exceeds it
-	// shrink the admitted fraction of offered load and climb the
-	// brownout ladder. 0 means 25ms; negative disables the controller
-	// (static MaxQueue admission only).
+	// AdmitTarget is the queue-delay (sojourn) target of the overload
+	// controller: windows whose worst queue wait exceeds it shed
+	// Optional requests, shrink the admitted fraction of offered load
+	// and climb the brownout ladder. 0 (or negative) means 25ms.
 	AdmitTarget time.Duration
 	// AdmitWindow is the controller's measurement window; 0 means 250ms.
 	AdmitWindow time.Duration
@@ -113,9 +97,6 @@ type Options struct {
 	// entirely (cache/read-through or 503); 0 means 8×AdmitTarget,
 	// negative disables the rung.
 	BrownoutCacheOnlyAt time.Duration
-	// BrownoutPromoteAfter is how many consecutive clean windows
-	// re-promote one brownout rung; 0 means 3.
-	BrownoutPromoteAfter int
 	// MaxBatchItems bounds the items of one POST /plan/batch; 0 means
 	// 256.
 	MaxBatchItems int
@@ -127,7 +108,7 @@ type Options struct {
 	// Router, when non-nil, puts the server in fleet mode: requests
 	// owned by other live peers are proxied to them.
 	Router *Router
-	// Seed seeds the Retry-After jitter; 0 means 1.
+	// Seed seeds the Retry-After jitter and the admit coin; 0 means 1.
 	Seed int64
 }
 
@@ -150,20 +131,8 @@ func (o Options) withDefaults() Options {
 	if o.CacheCapacity <= 0 {
 		o.CacheCapacity = 4096
 	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 16 << 20
-	}
-	if o.ShedHighFrac == 0 {
-		o.ShedHighFrac = 0.75
-	}
-	if o.ShedLowFrac <= 0 {
-		o.ShedLowFrac = 0.25
-	}
-	if o.ShedLowFrac > o.ShedHighFrac {
-		o.ShedLowFrac = o.ShedHighFrac
 	}
 	if o.MaxBatchItems <= 0 {
 		o.MaxBatchItems = 256
@@ -197,17 +166,12 @@ type Server struct {
 	expired   atomic.Int64 // 504 budget exceeded
 	refused   atomic.Int64 // 503 draining
 
-	// Criticality-aware overload shedding: shedding is the hysteretic
-	// mode bit (engaged at the high-water queue depth, released at the
-	// low-water one); the counters split 429s by the criticality shed.
-	shedding      atomic.Bool
-	shedEngaged   atomic.Int64 // mode entries, for observing flappiness
-	shedOptional  atomic.Int64 // optional requests shed by the ladder
-	shedMandatory atomic.Int64 // mandatory requests shed (queue truly full)
-
-	// adm is the queue-delay admission controller and brownout ladder
-	// (see admission.go); the counters split its decisions.
+	// adm is the overload controller: criticality rung, admit coin and
+	// brownout ladder (see admission.go); the counters split its
+	// decisions and split 429s by the criticality shed.
 	adm            *admitController
+	shedOptional   atomic.Int64 // optional requests shed with 429
+	shedMandatory  atomic.Int64 // mandatory requests shed with 429
 	admitShed      atomic.Int64 // requests shed by the AIMD admit coin
 	verifyTotals   [numVerifyModes][numVerifyOutcomes]atomic.Int64
 	plansFull      atomic.Int64 // 200s served at full quality
@@ -252,8 +216,8 @@ type Server struct {
 	rmu sync.Mutex
 	rnd *rand.Rand
 
-	// holdBuild, when non-nil, blocks every admitted request before it
-	// plans; tests use it to hold slots occupied deterministically.
+	// holdBuild, when non-nil, parks every admitted request until it
+	// closes or the request ends; tests use it to hold slots occupied.
 	holdBuild chan struct{}
 }
 
@@ -267,12 +231,11 @@ func New(opt Options) *Server {
 		slots: make(chan struct{}, opt.MaxInFlight),
 		rnd:   rand.New(rand.NewSource(opt.Seed)),
 		adm: newAdmitController(admitOptions{
-			Target:       opt.AdmitTarget,
-			Window:       opt.AdmitWindow,
-			CheapAt:      opt.BrownoutCheapAt,
-			CacheOnlyAt:  opt.BrownoutCacheOnlyAt,
-			PromoteAfter: opt.BrownoutPromoteAfter,
-			Seed:         opt.Seed,
+			Target:      opt.AdmitTarget,
+			Window:      opt.AdmitWindow,
+			CheapAt:     opt.BrownoutCheapAt,
+			CacheOnlyAt: opt.BrownoutCacheOnlyAt,
+			Seed:        opt.Seed,
 		}),
 	}
 	s.mux = http.NewServeMux()
@@ -336,18 +299,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// fail answers a request refused before planning.
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
-	switch {
-	case code == http.StatusTooManyRequests:
-		s.throttled.Add(1)
-	case code == http.StatusServiceUnavailable:
-		s.refused.Add(1)
-	case code == http.StatusGatewayTimeout:
-		s.expired.Add(1)
-	default:
-		s.rejected.Add(1)
-	}
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+	s.writeOutcome(w, planOutcome{code: code, errMsg: fmt.Sprintf(format, args...)})
 }
 
 // admit takes a planning slot, waiting in the bounded queue if none is
@@ -446,39 +400,10 @@ func parseCriticality(h string) (taskgraph.Criticality, error) {
 	return 0, fmt.Errorf("bad %s %q (want mandatory or optional)", criticalityHeader, h)
 }
 
-// updateShedding advances the hysteretic shed ladder from the current
-// queue depth and reports whether Optional requests are being shed:
-// engage at ≥ ShedHighFrac·MaxQueue waiting requests, release at ≤
-// ShedLowFrac·MaxQueue. The gap between the marks is what keeps a
-// queue hovering near the threshold from flapping the mode bit on
-// every request, exactly like the degrade controller's clean-streak
-// hysteresis.
-func (s *Server) updateShedding() bool {
-	if s.opt.ShedHighFrac < 0 || s.opt.MaxQueue == 0 {
-		return false
-	}
-	depth := int(s.queued.Load())
-	high := int(math.Ceil(s.opt.ShedHighFrac * float64(s.opt.MaxQueue)))
-	if high < 1 {
-		high = 1
-	}
-	low := int(math.Floor(s.opt.ShedLowFrac * float64(s.opt.MaxQueue)))
-	if s.shedding.Load() {
-		if depth <= low {
-			s.shedding.Store(false)
-		}
-	} else if depth >= high {
-		if s.shedding.CompareAndSwap(false, true) {
-			s.shedEngaged.Add(1)
-		}
-	}
-	return s.shedding.Load()
-}
-
-// retryAfterSeconds derives the 429 hint from current pressure: the
-// configured base scaled by up to 3× as the queue fills, jittered
-// ±25% so shed clients do not return in one synchronized wave, and
-// rounded up to whole seconds (the header's unit).
+// retryAfterSeconds derives the 429 hint from current pressure: a 1s
+// base scaled by up to 3× as the queue fills, jittered ±25% so shed
+// clients do not return in one synchronized wave, and rounded up to
+// whole seconds (the header's unit).
 func (s *Server) retryAfterSeconds() int {
 	fill := 0.0
 	if s.opt.MaxQueue > 0 {
@@ -487,7 +412,7 @@ func (s *Server) retryAfterSeconds() int {
 			fill = 1
 		}
 	}
-	d := float64(s.opt.RetryAfter) * (1 + 2*fill)
+	d := float64(time.Second) * (1 + 2*fill)
 	s.rmu.Lock()
 	jitter := 0.75 + 0.5*s.rnd.Float64()
 	s.rmu.Unlock()
@@ -496,12 +421,6 @@ func (s *Server) retryAfterSeconds() int {
 		secs = 1
 	}
 	return secs
-}
-
-// reject429 sheds a request with the queue-pressure-derived hint.
-func (s *Server) reject429(w http.ResponseWriter, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	s.fail(w, http.StatusTooManyRequests, format, args...)
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -533,13 +452,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, "reading workload: %v", err)
 		return
 	}
-	g, p, err := graphio.ReadWorkload(bytes.NewReader(raw))
+	g, p, err := readWorkload(raw)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	if p == nil {
-		s.fail(w, http.StatusUnprocessableEntity, "workload carries no platform; the planner needs one")
 		return
 	}
 
@@ -569,6 +484,16 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.writeOutcome(w, s.planOne(r.Context(), cfg, crit, g, p))
+}
+
+// readWorkload decodes a plan request's workload, which must carry a
+// platform.
+func readWorkload(raw []byte) (*taskgraph.Graph, *arch.Platform, error) {
+	g, p, err := graphio.ReadWorkload(bytes.NewReader(raw))
+	if err == nil && p == nil {
+		err = errors.New("workload carries no platform; the planner needs one")
+	}
+	return g, p, err
 }
 
 // verifyMode selects the verification stage of a plan request.
@@ -768,27 +693,17 @@ type planOutcome struct {
 // /plan/batch item, which is what makes a batch spend the same
 // admission budget as the equivalent stream of single requests.
 func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Criticality, g *taskgraph.Graph, p *arch.Platform) planOutcome {
-	// First rung: under pressure the optional tier is refused outright
-	// so the queue seat it would have taken stays available to
-	// mandatory work. Either pressure signal engages the rung — queue
-	// depth (the static ladder) or queue delay (the controller).
-	if (s.updateShedding() || s.adm.sheddingOptional()) && crit == taskgraph.Optional {
-		s.shedOptional.Add(1)
-		return planOutcome{code: http.StatusTooManyRequests, retryAfter: true,
-			errMsg: "shedding optional work under overload"}
-	}
-	// Second rung: while queue delay sits over target the AIMD coin
-	// sheds a growing fraction of everything else, which is what holds
-	// the queue wait near the target instead of at the timeout cliff.
-	if !s.adm.admit() {
+	// While queue delay sits over target the optional tier is refused
+	// outright, so the queue seat it would have taken stays available
+	// to mandatory work, and the AIMD coin sheds a growing fraction of
+	// everything else, which holds the queue wait near the target
+	// instead of at the timeout cliff.
+	switch s.adm.admit(crit) {
+	case admitShedRung:
+		return s.shed(crit, "shedding optional work under overload")
+	case admitShedCoin:
 		s.admitShed.Add(1)
-		if crit == taskgraph.Optional {
-			s.shedOptional.Add(1)
-		} else {
-			s.shedMandatory.Add(1)
-		}
-		return planOutcome{code: http.StatusTooManyRequests, retryAfter: true,
-			errMsg: "admission controller shedding: queue delay over target"}
+		return s.shed(crit, "admission controller shedding: queue delay over target")
 	}
 
 	release, ok := s.admit(ctx)
@@ -798,18 +713,15 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 			return planOutcome{code: http.StatusServiceUnavailable,
 				errMsg: "request canceled while queued"}
 		}
-		if crit == taskgraph.Optional {
-			s.shedOptional.Add(1)
-		} else {
-			s.shedMandatory.Add(1)
-		}
-		return planOutcome{code: http.StatusTooManyRequests, retryAfter: true,
-			errMsg: fmt.Sprintf("planning queue is full (%d in flight, %d queued)",
-				s.opt.MaxInFlight, s.opt.MaxQueue)}
+		return s.shed(crit, fmt.Sprintf("planning queue is full (%d in flight, %d queued)",
+			s.opt.MaxInFlight, s.opt.MaxQueue))
 	}
 	defer release()
 	if s.holdBuild != nil {
-		<-s.holdBuild
+		select {
+		case <-s.holdBuild:
+		case <-ctx.Done():
+		}
 	}
 
 	bctx, cancel := context.WithTimeout(ctx, cfg.limit)
@@ -891,6 +803,17 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 		return planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()}
 	}
 	return s.respond(served, plan, quality)
+}
+
+// shed is the 429 outcome for a request refused before planning,
+// counted by the criticality it refused.
+func (s *Server) shed(crit taskgraph.Criticality, msg string) planOutcome {
+	if crit == taskgraph.Optional {
+		s.shedOptional.Add(1)
+	} else {
+		s.shedMandatory.Add(1)
+	}
+	return planOutcome{code: http.StatusTooManyRequests, retryAfter: true, errMsg: msg}
 }
 
 // respond folds a plan into the 200 outcome, echoing the configuration
