@@ -82,14 +82,15 @@ degrade:
 
 # Pipeline-core performance baseline: runs the benchmark suite and
 # refreshes the checked-in BENCH_pipeline.json (cold vs cached builds,
-# fingerprint cost, and the breakdown bisection with the plan cache off
-# and on).
+# fingerprint cost, the breakdown bisection with the plan cache off
+# and on, and in-process /plan cache hits with and without the parse).
 bench:
 	$(GO) run ./cmd/benchpipe -o BENCH_pipeline.json
 
-# Performance gate: re-runs the suite and fails if cold builds or
-# incremental rebuilds regressed more than 20% (time or allocations)
-# against the checked-in BENCH_pipeline.json.
+# Performance gate: re-runs the suite and fails if cold builds,
+# incremental rebuilds or the 120-task /plan cache hit (serve/hit)
+# regressed more than 20% (time or allocations) against the checked-in
+# BENCH_pipeline.json.
 bench-check:
 	sh scripts/bench-check.sh
 
@@ -100,11 +101,14 @@ bench-serve:
 	sh scripts/bench-serve.sh
 
 # Native fuzzers: the checkpoint-journal parser, the workload reader
-# (plain and release-aware), the chaos scenario parser, and the plan
-# decoders behind /cache/fill, warm fill and snapshot loads, each
-# briefly past their checked-in seed corpora. The plan decoders' seeds
-# are whole serialized plans, so their minimization is capped at 100
-# runs per input; uncapped, shrinking a kilobyte input eats the budget.
+# (plain and release-aware), the chaos scenario parser, the plan
+# decoders behind /cache/fill, warm fill and snapshot loads, and pland's
+# network-facing bodies (/plan and /plan/batch posted twice, so a
+# workload-memo hit is checked against a parse, plus the /cache/fill
+# and /cache/digest payloads), each briefly past their checked-in seed
+# corpora. Seeds that are whole serialized plans or workloads get their
+# minimization capped at 100 runs per input; uncapped, shrinking a
+# kilobyte input eats the budget.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=10s ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkload$$' -fuzztime=10s ./internal/graphio/
@@ -112,3 +116,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseScenario$$' -fuzztime=10s ./internal/chaos/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeKeyParam$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/pipeline/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadSnapshot$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/pipeline/
+	$(GO) test -run='^$$' -fuzz='^FuzzPlanBody$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server/
+	$(GO) test -run='^$$' -fuzz='^FuzzPlanBatchBody$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server/
+	$(GO) test -run='^$$' -fuzz='^FuzzCacheFillBody$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server/

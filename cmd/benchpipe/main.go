@@ -24,6 +24,13 @@
 //   - breakdown/cache=off     breakdown-factor bisection, re-planning on
 //     every probe
 //   - breakdown/cache=on      the same bisection planning once
+//   - serve/hit/nN            one POST /plan through pland's handler, in
+//     process, on a resident plan whose body the workload memo holds: no
+//     parse, no fingerprint (N = 41 and 120 tasks)
+//   - serve/hit-parse/nN      the same request with an equal workload in
+//     bytes no earlier request used (a varying whitespace prefix), so it
+//     misses the memo and pays the parse and fingerprint before the same
+//     cache hit
 //
 // The off/on contrast and the cold/rebuild contrast are the headline
 // numbers: the plan cache is what makes the robustness bisection
@@ -33,22 +40,27 @@
 // deadlines costs a fixed-point iteration, not a timeline.
 //
 // With -check BASELINE the suite instead runs fresh and exits nonzero
-// if the cold-build numbers regressed more than 20% against the
-// checked-in baseline (the CI performance gate).
+// if the cold-build or 120-task serve/hit numbers regressed more than
+// 20% against the checked-in baseline (the CI performance gate).
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graphio"
 	"repro/internal/pipeline"
 	"repro/internal/robust"
 	"repro/internal/rtime"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/verify"
 )
@@ -79,6 +91,10 @@ type report struct {
 	// how much cheaper proving a 120-task plan's deadlines analytically
 	// is than replaying its schedule.
 	VerifySpeedup float64 `json:"verify_speedup,omitempty"`
+	// ServeMemoSpeedup is serve/hit-parse/n120 ns divided by
+	// serve/hit/n120 ns: how much cheaper a 120-task /plan cache hit is
+	// when the workload memo spares it the parse.
+	ServeMemoSpeedup float64 `json:"serve_memo_speedup,omitempty"`
 }
 
 func workload(seed int64) (*gen.Workload, error) {
@@ -313,6 +329,18 @@ func run(out, check string) error {
 	if on.NsPerOp > 0 {
 		rep.BreakdownSpeedup = off.NsPerOp / on.NsPerOp
 	}
+	for _, sw := range []*gen.Workload{w, vw} {
+		var body bytes.Buffer
+		if err := graphio.WriteWorkload(&body, sw.Graph, sw.Platform); err != nil {
+			return err
+		}
+		n := sw.Graph.NumTasks()
+		hit := bench(fmt.Sprintf("serve/hit/n%d", n), serveBench(body.Bytes(), false))
+		parse := bench(fmt.Sprintf("serve/hit-parse/n%d", n), serveBench(body.Bytes(), true))
+		if n == 120 && hit.NsPerOp > 0 {
+			rep.ServeMemoSpeedup = parse.NsPerOp / hit.NsPerOp
+		}
+	}
 
 	if check != "" {
 		return checkAgainst(check, rep)
@@ -329,9 +357,45 @@ func run(out, check string) error {
 	if err := os.WriteFile(out, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (breakdown speedup with plan cache: %.1fx, reslice speedup with Rebuild: %.1fx, analytic-verify speedup over replay: %.1fx)\n",
-		out, rep.BreakdownSpeedup, rep.ResliceSpeedup, rep.VerifySpeedup)
+	fmt.Printf("wrote %s (breakdown speedup with plan cache: %.1fx, reslice speedup with Rebuild: %.1fx, analytic-verify speedup over replay: %.1fx, 120-task cache-hit speedup with the workload memo: %.1fx)\n",
+		out, rep.BreakdownSpeedup, rep.ResliceSpeedup, rep.VerifySpeedup, rep.ServeMemoSpeedup)
 	return nil
+}
+
+// wsPrefix is the length of the whitespace prefix serve/hit-parse
+// varies to make every body byte-new: four characters per byte, so
+// 4^wsPrefix distinct bodies of one workload.
+const wsPrefix = 24
+
+// serveBench posts body to /plan through a fresh pland handler, in
+// process, after one untimed post has made its plan resident. With
+// parse set, every timed post carries a whitespace prefix no earlier
+// post used, so the workload memo misses and the handler parses.
+func serveBench(body []byte, parse bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		h := server.New(server.Options{}).Handler()
+		post := func(raw []byte) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/plan", bytes.NewReader(raw)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("POST /plan: %d %s", rec.Code, rec.Body)
+			}
+		}
+		post(body)
+		spaced := append(make([]byte, wsPrefix), body...)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !parse {
+				post(body)
+				continue
+			}
+			for j, v := 0, i; j < wsPrefix; j, v = j+1, v/4 {
+				spaced[j] = " \t\n\r"[v%4]
+			}
+			post(spaced)
+		}
+	}
 }
 
 // checkTolerance is the allowed regression against the checked-in
@@ -339,9 +403,10 @@ func run(out, check string) error {
 // absolute, to absorb counting noise near zero) on allocations.
 const checkTolerance = 0.20
 
-// checkAgainst gates the fresh run rep on the baseline at path. Only
-// the cold-build benchmarks are gated — the cached/fingerprint paths
-// are sub-10µs and too noisy for a CI tripwire, and the breakdown
+// checkAgainst gates the fresh run rep on the baseline at path. The
+// cold-build benchmarks are gated, and so is the 120-task /plan cache
+// hit, the path real traffic spends its time in. The cached/fingerprint
+// paths are sub-10µs and too noisy for a CI tripwire, and the breakdown
 // bisections are derived from the same cold path.
 func checkAgainst(path string, rep report) error {
 	raw, err := os.ReadFile(path)
@@ -356,7 +421,7 @@ func checkAgainst(path string, rep report) error {
 	for _, r := range base.Results {
 		baseBy[r.Name] = r
 	}
-	gated := []string{"build/cold", "build/cold-pooled", "build/rebuild-estimates", "build/rebuild-wcet"}
+	gated := []string{"build/cold", "build/cold-pooled", "build/rebuild-estimates", "build/rebuild-wcet", "serve/hit/n120"}
 	failed := false
 	for _, name := range gated {
 		b, ok := baseBy[name]
@@ -393,7 +458,7 @@ func checkAgainst(path string, rep report) error {
 		}
 	}
 	if failed {
-		return fmt.Errorf("cold-build performance regressed beyond %.0f%% of %s", 100*checkTolerance, path)
+		return fmt.Errorf("gated performance regressed beyond %.0f%% of %s", 100*checkTolerance, path)
 	}
 	return nil
 }

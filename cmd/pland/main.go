@@ -75,6 +75,13 @@ import (
 	"repro/internal/server"
 )
 
+// headerReadTimeout bounds how long a connection may take to send its
+// request header. Without it, http.Server.Shutdown treats a connection
+// that never sent one (a peer's hedge dialled and then abandoned) as
+// busy for a fixed 5 s, which can use up a short -drain budget; with it,
+// such a connection is closed after this long, well inside any drain.
+const headerReadTimeout = 2 * time.Second
+
 func main() {
 	if err := run(context.Background(), os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "pland:", err)
@@ -217,7 +224,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if inj != nil {
 		handler = inj.Middleware(handler)
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: headerReadTimeout}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

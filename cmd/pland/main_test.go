@@ -108,7 +108,10 @@ func TestRunLifecycle(t *testing.T) {
 }
 
 // freeAddrs reserves n distinct loopback addresses by listening and
-// immediately closing. The tiny reuse race is acceptable in tests.
+// closing. Every listener stays open until all n are taken: closing
+// each one at once let the kernel hand the same port out twice, and
+// two fleet members on one address read as a double-counted peer.
+// The race with other processes between close and reuse remains.
 func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -117,8 +120,8 @@ func freeAddrs(t *testing.T, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return addrs
 }
@@ -350,4 +353,44 @@ func sample(t *testing.T, text, pattern string) float64 {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// TestDrainWithSilentConnection: a connection that never sends a
+// request header (a peer's hedge dialled and then abandoned) must not
+// hold the drain past its budget. Shutdown treats such a connection as
+// busy for a fixed 5 s; the header-read timeout closes it sooner.
+func TestDrainWithSilentConnection(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var logs logBuffer
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-drain", "4s"}, &logs) }()
+
+	addrRe := regexp.MustCompile(`listening on (\S+)`)
+	var addr string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) && addr == ""; {
+		if m := addrRe.FindStringSubmatch(logs.String()); m != nil {
+			addr = m[1]
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if addr == "" {
+		t.Fatalf("server never announced its address; log: %q", logs.String())
+	}
+	waitHealthy(t, addr)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v; log: %q", err, logs.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run never drained")
+	}
 }

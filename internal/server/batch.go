@@ -3,10 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 
-	"repro/internal/arch"
 	"repro/internal/cluster/client"
 	"repro/internal/pipeline"
 	"repro/internal/taskgraph"
@@ -82,9 +80,7 @@ type BatchItemResult struct {
 // batchWork is one decoded item awaiting planning.
 type batchWork struct {
 	crit taskgraph.Criticality
-	g    *taskgraph.Graph
-	p    *arch.Platform
-	fp   uint64
+	wl   parsedWorkload
 	raw  json.RawMessage
 }
 
@@ -103,7 +99,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	raw, err := readBody(w, r)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, "reading batch: %v", err)
 		return
@@ -136,7 +132,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	work := make([]*batchWork, len(req.Items))
 	for i, it := range req.Items {
 		var err error
-		if work[i], err = decodeBatchItem(it); err != nil {
+		if work[i], err = s.decodeBatchItem(it); err != nil {
 			results[i] = s.batchResult(planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()})
 		}
 	}
@@ -149,7 +145,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if wk == nil {
 				continue
 			}
-			if owner := rt.target(wk.fp); owner.Name != rt.Self {
+			if owner := rt.target(wk.wl.fp); owner.Name != rt.Self {
 				groups[owner.Name] = append(groups[owner.Name], i)
 			}
 		}
@@ -165,22 +161,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if wk == nil || results[i].Status != "" {
 			continue
 		}
-		results[i] = s.batchResult(s.planOne(r.Context(), cfg, wk.crit, wk.g, wk.p))
+		results[i] = s.batchResult(s.planOne(r.Context(), cfg, wk.crit, wk.wl))
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Items: results})
 }
 
-// decodeBatchItem parses one item's criticality and workload.
-func decodeBatchItem(it BatchItem) (*batchWork, error) {
+// decodeBatchItem parses one item's criticality and workload, the
+// latter through the workload memo like a single /plan body.
+func (s *Server) decodeBatchItem(it BatchItem) (*batchWork, error) {
 	crit, err := parseCriticality(it.Criticality)
 	if err != nil {
 		return nil, err
 	}
-	g, p, err := readWorkload(it.Workload)
+	wl, err := s.workload(it.Workload)
 	if err != nil {
 		return nil, err
 	}
-	return &batchWork{crit: crit, g: g, p: p, fp: pipeline.Fingerprint(g, p), raw: it.Workload}, nil
+	return &batchWork{crit: crit, wl: wl, raw: it.Workload}, nil
 }
 
 // batchRemote ships one owner group as a routed sub-batch through the
@@ -197,7 +194,7 @@ func (s *Server) batchRemote(ctx context.Context, rt *Router, cfg planConfig, qu
 		return
 	}
 	res, err := rt.Client.Do(ctx, client.PlanRequest{
-		Key:    work[idxs[0]].fp,
+		Key:    work[idxs[0]].wl.fp,
 		Path:   "/plan/batch",
 		Query:  query,
 		Routed: true,

@@ -62,6 +62,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			[]row{{"", float64(s.queued.Load())}}},
 		{"pland_cached_plans", "gauge", "Plans resident in the shared cache.",
 			[]row{{"", float64(s.cache.Len())}}},
+		{"pland_workload_memo_total", "counter", "Plan request bodies by workload-memo outcome (hit: parse skipped).",
+			[]row{
+				{`result="hit"`, float64(s.memoHits.Load())},
+				{`result="miss"`, float64(s.memoMisses.Load())},
+			}},
 		{"pland_draining", "gauge", "1 while the server refuses new work.",
 			[]row{{"", boolGauge(s.draining.Load())}}},
 		{"pland_shedding", "gauge", "1 while the overload controller sheds Optional requests.",

@@ -4,8 +4,11 @@
 // workloads are answered from cache and concurrent identical requests
 // coalesce onto a single cold build (the cache's singleflight layer).
 //
-// The request path is admission → coalesce → build → respond:
+// The request path is memo → admission → coalesce → build → respond:
 //
+//   - memo: the body's SHA-256 looks up the workload parsed from the
+//     same bytes before (memo.go), so a repeated body skips the JSON
+//     parse and the fingerprint; any other body is parsed as usual.
 //   - admission: at most MaxInFlight requests plan concurrently; up to
 //     MaxQueue more wait for a slot, and anything beyond that is shed
 //     immediately with 429 and a Retry-After hint — the service degrades
@@ -40,7 +43,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -78,10 +80,9 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested budgets; 0 means 2m.
 	MaxTimeout time.Duration
-	// CacheCapacity sizes the shared plan cache; 0 means 4096.
+	// CacheCapacity sizes the shared plan cache and the workload memo
+	// in front of the parse; 0 means 4096.
 	CacheCapacity int
-	// MaxBodyBytes bounds the request body; 0 means 16 MiB.
-	MaxBodyBytes int64
 	// AdmitTarget is the queue-delay (sojourn) target of the overload
 	// controller: windows whose worst queue wait exceeds it shed
 	// Optional requests, shrink the admitted fraction of offered load
@@ -131,9 +132,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheCapacity <= 0 {
 		o.CacheCapacity = 4096
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 16 << 20
-	}
 	if o.MaxBatchItems <= 0 {
 		o.MaxBatchItems = 256
 	}
@@ -141,6 +139,22 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	return o
+}
+
+// maxBodyBytes bounds every request body the server reads.
+const maxBodyBytes = 16 << 20
+
+// readBody reads a request body of at most maxBodyBytes. A body up to
+// 1 MiB is read into one buffer sized from Content-Length; a larger
+// claim is not trusted up front, so a client cannot make the server
+// reserve the whole limit before sending anything.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= 1<<20 {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf.Bytes(), err
 }
 
 // Server is the planning service state: the shared pipeline cache and
@@ -151,6 +165,11 @@ type Server struct {
 	cache *pipeline.Cache
 	rec   *pipeline.Recorder
 	mux   *http.ServeMux
+
+	// memo maps plan request bodies to their parsed workloads (memo.go).
+	memo       *workloadMemo
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
 
 	// slots is the in-flight semaphore; queued counts requests waiting
 	// for a slot; inFlight gauges requests actually planning.
@@ -228,6 +247,7 @@ func New(opt Options) *Server {
 		opt:   opt,
 		cache: pipeline.NewCache(opt.CacheCapacity),
 		rec:   pipeline.NewRecorder(false),
+		memo:  newWorkloadMemo(opt.CacheCapacity),
 		slots: make(chan struct{}, opt.MaxInFlight),
 		rnd:   rand.New(rand.NewSource(opt.Seed)),
 		adm: newAdmitController(admitOptions{
@@ -447,12 +467,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 	// The body is buffered rather than streamed so a routed request can
 	// forward the identical bytes to the owning peer.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	raw, err := readBody(w, r)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, "reading workload: %v", err)
 		return
 	}
-	g, p, err := readWorkload(raw)
+	wl, err := s.workload(raw)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -463,10 +483,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.routedIn.Add(1)
 	}
 	if rt := s.opt.Router; rt != nil && !routed {
-		key := pipeline.Fingerprint(g, p)
-		if target := rt.target(key); target.Name != rt.Self {
+		if target := rt.target(wl.fp); target.Name != rt.Self {
 			res, err := rt.Client.Do(r.Context(), client.PlanRequest{
-				Key:         key,
+				Key:         wl.fp,
 				Query:       r.URL.RawQuery,
 				Criticality: crit.String(),
 				Routed:      true,
@@ -483,7 +502,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.writeOutcome(w, s.planOne(r.Context(), cfg, crit, g, p))
+	s.writeOutcome(w, s.planOne(r.Context(), cfg, crit, wl))
 }
 
 // readWorkload decodes a plan request's workload, which must carry a
@@ -659,11 +678,11 @@ func cheapen(cfg planConfig) (planConfig, bool) {
 // estimation entirely — the cheapest legitimate cold build the rung can
 // serve. With no such plan the path degenerates to a plain cheap build.
 // orig is the configuration the client asked for: its strategy names the
-// estimator a seed plan must have run.
-func (s *Server) buildCheap(ctx context.Context, served, orig planConfig, spec pipeline.Spec) (*pipeline.Plan, error) {
+// estimator a seed plan must have run; fp is the workload's fingerprint.
+func (s *Server) buildCheap(ctx context.Context, served, orig planConfig, spec pipeline.Spec, fp uint64) (*pipeline.Plan, error) {
 	b := s.builder(served, pipeline.QualityDegraded)
 	estName := orig.strategy.String()
-	prev, ok := s.cache.LookupWorkload(pipeline.Fingerprint(spec.Graph, spec.Platform),
+	prev, ok := s.cache.LookupWorkload(fp,
 		func(p *pipeline.Plan) bool {
 			return p.Quality == pipeline.QualityFull && p.Estimator == estName
 		})
@@ -692,7 +711,7 @@ type planOutcome struct {
 // the brownout ladder. It is the shared core of POST /plan and of each
 // /plan/batch item, which is what makes a batch spend the same
 // admission budget as the equivalent stream of single requests.
-func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Criticality, g *taskgraph.Graph, p *arch.Platform) planOutcome {
+func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Criticality, wl parsedWorkload) planOutcome {
 	// While queue delay sits over target the optional tier is refused
 	// outright, so the queue seat it would have taken stays available
 	// to mandatory work, and the AIMD coin sheds a growing fraction of
@@ -726,7 +745,7 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 
 	bctx, cancel := context.WithTimeout(ctx, cfg.limit)
 	defer cancel()
-	spec := pipeline.Spec{Graph: g, Platform: p}
+	spec := pipeline.Spec{Graph: wl.g, Platform: wl.p}
 
 	// Brownout ladder: decide what this request's cold work may cost.
 	// Cached plans always serve at the quality they were built at; the
@@ -752,7 +771,7 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 			// caches for this fingerprint first — some replica may hold
 			// the plan this process never built.
 			if s.opt.Router != nil {
-				s.warmReadThrough(bctx, pipeline.Fingerprint(g, p))
+				s.warmReadThrough(bctx, wl.fp)
 				if plan, _, err := s.builder(cfg, pipeline.QualityFull).Probe(spec); err == nil && plan != nil {
 					s.cacheOnlyHits.Add(1)
 					return s.respond(cfg, plan, pipeline.QualityFull)
@@ -775,17 +794,15 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 	// the recovery path — the owner was unreachable, or the client was
 	// re-routed here. Before paying a cold build, read through the other
 	// peers' caches: some replica usually survives a single-peer outage.
-	if rt := s.opt.Router; rt != nil {
-		if fp := pipeline.Fingerprint(g, p); s.replicaRank(fp) > 0 {
-			s.warmReadThrough(bctx, fp)
-		}
+	if s.replicaRank(wl.fp) > 0 {
+		s.warmReadThrough(bctx, wl.fp)
 	}
 
 	s.inFlight.Add(1)
 	var plan *pipeline.Plan
 	var err error
 	if quality == pipeline.QualityDegraded {
-		plan, err = s.buildCheap(bctx, served, cfg, spec)
+		plan, err = s.buildCheap(bctx, served, cfg, spec, wl.fp)
 	} else {
 		plan, err = s.builder(served, quality).BuildContext(bctx, spec)
 	}

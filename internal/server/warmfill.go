@@ -3,7 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"io"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -161,17 +161,12 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 		s.fillServed.Add(1)
 		writeJSON(w, http.StatusOK, pipeline.EncodePlan(plan))
 	case http.MethodPost:
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+		raw, err := readBody(w, r)
 		if err != nil {
 			s.fail(w, http.StatusUnprocessableEntity, "reading plan: %v", err)
 			return
 		}
-		var pj pipeline.PlanJSON
-		if err := json.Unmarshal(raw, &pj); err != nil {
-			s.fail(w, http.StatusUnprocessableEntity, "parsing plan: %v", err)
-			return
-		}
-		plan, err := pipeline.DecodePlan(pj)
+		plan, err := decodeFill(raw)
 		if err != nil {
 			// Failed integrity: refuse loudly, never install.
 			s.fail(w, http.StatusUnprocessableEntity, "%v", err)
@@ -223,15 +218,41 @@ func (s *Server) maybeHint(key pipeline.Key) {
 	}
 }
 
-// WarmFillOnce runs one warm-fill round: pull every alive peer's
-// digest and install the plans this peer is owner or standby for, then
-// push pending handoff hints to every reachable hinted owner. It
-// returns the number of plans pulled in.
-func (s *Server) WarmFillOnce(ctx context.Context) int {
-	rt := s.opt.Router
-	if rt == nil || rt.Client == nil {
-		return 0
+// decodeFill parses one serialized plan from a peer (a POST
+// /cache/fill body or a pulled GET /cache/fill answer) and runs
+// DecodePlan's integrity gate on it.
+func decodeFill(raw []byte) (*pipeline.Plan, error) {
+	var pj pipeline.PlanJSON
+	if err := json.Unmarshal(raw, &pj); err != nil {
+		return nil, fmt.Errorf("parsing plan: %w", err)
 	}
+	return pipeline.DecodePlan(pj)
+}
+
+// decodeDigest parses a peer's GET /cache/digest answer into keys. A
+// malformed token fails the whole digest: a peer that sends one is not
+// speaking this protocol.
+func decodeDigest(raw []byte) ([]pipeline.Key, error) {
+	var dig digestResponse
+	if err := json.Unmarshal(raw, &dig); err != nil {
+		return nil, err
+	}
+	keys := make([]pipeline.Key, len(dig.Keys))
+	for i, tok := range dig.Keys {
+		k, err := pipeline.DecodeKeyParam(tok)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = k
+	}
+	return keys, nil
+}
+
+// pullPlans reads every alive other peer's digest and installs each
+// advertised plan that want accepts and the cache does not hold yet.
+// Failed round-trips and rejected payloads count as warm-fill errors.
+// It returns the number of plans installed.
+func (s *Server) pullPlans(ctx context.Context, rt *Router, want func(pipeline.Key) bool) int {
 	pulled := 0
 	for _, peer := range rt.Ring.Peers() {
 		if peer.Name == rt.Self || !peer.Alive() {
@@ -242,34 +263,21 @@ func (s *Server) WarmFillOnce(ctx context.Context) int {
 			s.warmErrors.Add(1)
 			continue
 		}
-		var dig digestResponse
-		if err := json.Unmarshal(raw, &dig); err != nil {
+		keys, err := decodeDigest(raw)
+		if err != nil {
 			s.warmErrors.Add(1)
 			continue
 		}
-		for _, tok := range dig.Keys {
-			k, err := pipeline.DecodeKeyParam(tok)
+		for _, k := range keys {
+			if !want(k) || s.cache.Contains(k) {
+				continue
+			}
+			body, err := rt.Client.FetchFill(ctx, peer, pipeline.EncodeKeyParam(k))
 			if err != nil {
 				s.warmErrors.Add(1)
 				continue
 			}
-			if rank := s.replicaRank(k.Workload); rank < 0 || rank >= replicationFactor {
-				continue
-			}
-			if s.cache.Contains(k) {
-				continue
-			}
-			body, err := rt.Client.FetchFill(ctx, peer, tok)
-			if err != nil {
-				s.warmErrors.Add(1)
-				continue
-			}
-			var pj pipeline.PlanJSON
-			if err := json.Unmarshal(body, &pj); err != nil {
-				s.warmErrors.Add(1)
-				continue
-			}
-			plan, err := pipeline.DecodePlan(pj)
+			plan, err := decodeFill(body)
 			if err != nil {
 				s.warmErrors.Add(1)
 				continue
@@ -279,6 +287,22 @@ func (s *Server) WarmFillOnce(ctx context.Context) int {
 			pulled++
 		}
 	}
+	return pulled
+}
+
+// WarmFillOnce runs one warm-fill round: pull every alive peer's
+// digest and install the plans this peer is owner or standby for, then
+// push pending handoff hints to every reachable hinted owner. It
+// returns the number of plans pulled in.
+func (s *Server) WarmFillOnce(ctx context.Context) int {
+	rt := s.opt.Router
+	if rt == nil || rt.Client == nil {
+		return 0
+	}
+	pulled := s.pullPlans(ctx, rt, func(k pipeline.Key) bool {
+		rank := s.replicaRank(k.Workload)
+		return rank >= 0 && rank < replicationFactor
+	})
 	// Handoff pushes ride the same round: a blacked-out owner never
 	// probes down (/healthz is chaos-exempt), so its rise is invisible
 	// to NoteRisen — the periodic drain is what catches it.
@@ -327,47 +351,7 @@ func (s *Server) warmReadThrough(ctx context.Context, fp uint64) int {
 	s.readMu.Unlock()
 
 	s.warmReads.Add(1)
-	pulled := 0
-	for _, peer := range rt.Ring.Peers() {
-		if peer.Name == rt.Self || !peer.Alive() {
-			continue
-		}
-		raw, err := rt.Client.FetchDigest(ctx, peer)
-		if err != nil {
-			s.warmErrors.Add(1)
-			continue
-		}
-		var dig digestResponse
-		if err := json.Unmarshal(raw, &dig); err != nil {
-			s.warmErrors.Add(1)
-			continue
-		}
-		for _, tok := range dig.Keys {
-			k, err := pipeline.DecodeKeyParam(tok)
-			if err != nil || k.Workload != fp || s.cache.Contains(k) {
-				continue
-			}
-			body, err := rt.Client.FetchFill(ctx, peer, tok)
-			if err != nil {
-				s.warmErrors.Add(1)
-				continue
-			}
-			var pj pipeline.PlanJSON
-			if err := json.Unmarshal(body, &pj); err != nil {
-				s.warmErrors.Add(1)
-				continue
-			}
-			plan, err := pipeline.DecodePlan(pj)
-			if err != nil {
-				s.warmErrors.Add(1)
-				continue
-			}
-			s.cache.Install(plan)
-			s.warmPulled.Add(1)
-			pulled++
-		}
-	}
-	return pulled
+	return s.pullPlans(ctx, rt, func(k pipeline.Key) bool { return k.Workload == fp })
 }
 
 // drainHints pushes every hinted plan back to its risen owner. Plans
